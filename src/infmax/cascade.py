@@ -6,9 +6,11 @@ infected in the round after f_v(|infected neighbors|, deg(v)) >= theta_v
 first holds.  Because every f here depends on the neighbor set only through
 its size, a threshold draw is equivalent to drawing a count class
 K_v = min{c : f(c) >= theta_v}: v activates once it has K_v infected
-neighbors.  Both oracles work in count-class space, which makes the Monte
-Carlo simulator a few matrix operations per round and makes exact
-expectations computable by conditioning on one class boundary at a time.
+neighbors.  Both oracles work in count-class space.  With the classes fixed,
+a cascade is a monotone closure, so the infected set does not depend on how
+a round is computed: the Monte Carlo kernel pushes only the newly infected
+frontier of all repetitions at once along the raw CSR arrays, and exact
+expectations are computable by conditioning on one class boundary at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError
 from ._rng import DOMAIN_CRN, DOMAIN_INDEPENDENT, generator, seeds_digest
@@ -234,19 +235,54 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
         raise ValueError("seed outside vertex range")
 
     K = _count_classes(model, graph.degrees, theta)
-    infected = np.zeros(n, dtype=bool)
-    infected[seed_list] = True
-    counts = np.zeros(n, dtype=np.int64)
+    # theta = 0 gives K = 0: such a vertex fires in round 1 whatever its
+    # neighbors do, so starting it with the seeds yields the same closure.
+    start = np.union1d(seed_list, np.flatnonzero(K == 0))
     A = graph.csr()
-    if seed_list:
-        counts += np.asarray(A[seed_list].sum(axis=0)).ravel()
-    while True:
-        newly = (counts >= K) & ~infected
-        if not newly.any():
-            break
-        infected |= newly
-        counts += newly.astype(np.int64) @ A
+    infected = _closure(A.indptr, A.indices, K[None, :], start)[0]
     return {int(v) for v in np.flatnonzero(infected)}
+
+
+# A round whose neighbor entries reach 1/_DENSE_SHARE of reps * nc adds its
+# counts with one dense bincount; a smaller round sorts only what it touches.
+_DENSE_SHARE = 4
+
+
+def _closure(indptr, indices, K, seed_cols) -> np.ndarray:
+    """Infected mask (reps, nc) of the cascade from seed_cols in every repetition.
+
+    (indptr, indices) is the CSR adjacency of the nc vertices and K their
+    (reps, nc) count classes.  Entry (r, v) is flattened to r * nc + v; each
+    round pushes the newly infected frontier along its edges and infects the
+    uninfected entries whose infected-neighbor count has reached K.
+    """
+    reps, nc = K.shape
+    size = reps * nc
+    K = K.ravel()
+    infected = np.zeros(size, dtype=bool)
+    counts = np.zeros(size, dtype=np.int32)
+    degree = np.diff(indptr)
+    cols = np.asarray(seed_cols, dtype=np.int64)
+    frontier = (np.arange(reps)[:, None] * nc + cols).ravel()
+    infected[frontier] = True
+    while frontier.size:
+        v = frontier % nc
+        d = degree[v]
+        ends = np.cumsum(d)
+        total = int(ends[-1])
+        # The frontier's adjacency runs laid end to end: entry j belongs to
+        # the vertex whose run holds j and reads indices at its offset there.
+        pos = np.arange(total) + np.repeat(indptr[v] - (ends - d), d)
+        targets = indices[pos] + np.repeat(frontier - v, d)
+        if total * _DENSE_SHARE >= size:
+            counts += np.bincount(targets, minlength=size)
+            frontier = np.flatnonzero((counts >= K) & ~infected)
+        else:
+            touched, hits = np.unique(targets, return_counts=True)
+            counts[touched] += hits
+            frontier = touched[(counts[touched] >= K[touched]) & ~infected[touched]]
+        infected[frontier] = True
+    return infected.reshape(reps, nc)
 
 
 class MonteCarloOracle:
@@ -297,23 +333,7 @@ class MonteCarloOracle:
 
     def _batch_sim(self, A, K, seed_cols) -> np.ndarray:
         """Infected count per repetition for one component, one seed set."""
-        reps, nc = K.shape
-        infected = np.zeros((reps, nc), dtype=bool)
-        infected[:, seed_cols] = True
-        counts = np.zeros((reps, nc), dtype=np.int32)
-        counts += np.asarray(A[seed_cols].sum(axis=0)).ravel().astype(np.int32)
-        while True:
-            newly = (counts >= K) & ~infected
-            nnz = int(np.count_nonzero(newly))
-            if nnz == 0:
-                break
-            infected |= newly
-            if nnz * 20 < reps * nc:
-                inc = (sp.csr_array(newly, dtype=np.int32) @ A).tocoo()
-                np.add.at(counts, (inc.coords[0], inc.coords[1]), inc.data)
-            else:
-                counts += newly.astype(np.int32) @ A
-        return infected.sum(axis=1, dtype=np.int64)
+        return _closure(A.indptr, A.indices, K, seed_cols).sum(axis=1, dtype=np.int64)
 
     def _crn_totals(self, ci: int, seed_cols: tuple[int, ...]) -> np.ndarray:
         key = (ci, seed_cols)

@@ -39,7 +39,7 @@ _BUILDERS = ("random-pair", "random-edge", "jaccard", "bisection")
 _NEEDS_TREE = {"dpim", "mpa"}
 
 
-def _read_seed_file(path) -> list[int]:
+def _read_seed_file(path, n: int) -> list[int]:
     seeds = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -47,9 +47,12 @@ def _read_seed_file(path) -> list[int]:
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                seeds.append(int(stripped))
+                v = int(stripped)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-integer seed id") from None
+            if not 0 <= v < n:
+                raise ConsistencyError(f"{path}:{lineno}: seed id {v} outside vertex range [0, {n})")
+            seeds.append(v)
     return seeds
 
 
@@ -120,7 +123,7 @@ def _cmd_hiercost(args) -> int:
 def _cmd_sigma(args) -> int:
     graph = load_edge_list(args.graph)
     model = parse_model(args.cascade)
-    seeds = _read_seed_file(args.seeds)
+    seeds = _read_seed_file(args.seeds, graph.n)
     if args.exact:
         val = sigma_exact(graph, model, seeds)
         print(f"{val!r} 0.0")

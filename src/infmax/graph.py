@@ -95,9 +95,6 @@ class Graph:
         """(m, 2) array of edges with u < v, lexicographically sorted."""
         return self._edges
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self._edges}
-
     def original_id(self, v: int) -> int:
         return v if self._orig_ids is None else self._orig_ids[v]
 

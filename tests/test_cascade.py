@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from infmax import cascade
 from infmax import (
     CRN,
     INDEPENDENT,
@@ -156,6 +158,15 @@ def test_simulate_validates_inputs():
         simulate_cascade(g, m, {0}, np.array([0.5, 1.5]))
 
 
+def test_simulate_zero_threshold_fires_unprompted():
+    # theta = 0 means K = 0: vertex 1 joins in round 1 with no infected
+    # neighbor and passes the cascade on to 2 but not to 0, whose threshold
+    # is out of reach; isolated 3 joins alone
+    g = Graph(4, [(0, 1), (1, 2)])
+    out = simulate_cascade(g, CascadeModel.icm(0.5), set(), np.array([1.0, 0.0, 0.5, 0.0]))
+    assert out == {1, 2, 3}
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_simulate_monotone_in_seeds(ts):
@@ -177,6 +188,79 @@ def test_simulate_idempotent(ts):
     m = CascadeModel.icm(0.6)
     out = simulate_cascade(g, m, {1, 2}, theta)
     assert simulate_cascade(g, m, out, theta) == out
+
+
+# ---------------------------------------------------------------- kernel
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 24))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=60)) if pairs else []
+    model = draw(st.sampled_from(ALL_MODELS))
+    reps = draw(st.integers(1, 6))
+    seeds = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return Graph(n, edges), model, reps, sorted(seeds), draw(st.integers(0, 2**32 - 1))
+
+
+def _dense_rounds(graph, K, seeds):
+    # the plain synchronous cascade: every round recounts every vertex
+    A = graph.csr().toarray().astype(np.int64)
+    infected = np.zeros(K.shape, dtype=bool)
+    infected[:, seeds] = True
+    while True:
+        newly = (infected.astype(np.int64) @ A >= K) & ~infected
+        if not newly.any():
+            return infected
+        infected |= newly
+
+
+# _DENSE_SHARE = 0 keeps every round on the sparse step, a huge share puts
+# every round on the dense step, and the shipped share switches per round.
+_STEP_SHARES = {"sparse": 0, "dense": 10**9, "switched": cascade._DENSE_SHARE}
+
+
+@pytest.mark.parametrize("step", sorted(_STEP_SHARES))
+@given(case=_kernel_cases())
+@example(case=(Graph(5, [(0, 1), (1, 2)]), ALL_MODELS[0], 3, [], 0))
+@example(case=(Graph(5, [(0, 1), (1, 2)]), ALL_MODELS[4], 2, [3, 4], 1))
+@example(case=(Graph(6, [(0, i) for i in range(1, 6)]), ALL_MODELS[1], 4, [0], 2))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_dense_rounds(step, case):
+    g, model, reps, seeds, theta_seed = case
+    theta = 1.0 - np.random.default_rng(theta_seed).random((reps, g.n))
+    K = cascade._count_classes(model, g.degrees, theta)
+    A = g.csr()
+    with mock.patch.object(cascade, "_DENSE_SHARE", _STEP_SHARES[step]):
+        infected = cascade._closure(A.indptr, A.indices, K, seeds)
+    expected = _dense_rounds(g, K, seeds)
+    assert np.array_equal(infected, expected)
+
+
+# sigma_mc reprs recorded with the earlier kernel, which rebuilt a sparse
+# matrix every round; a kernel change that moves result bytes fails here.
+_PINNED_SIGMA = {
+    ("icm", CRN): "SigmaEstimate(mean=14.42, stderr=0.28794199217623145, reps=300)",
+    ("icm", INDEPENDENT): "SigmaEstimate(mean=13.796666666666667, stderr=0.2701541049680099, reps=300)",
+    ("ltm", CRN): "SigmaEstimate(mean=15.016666666666667, stderr=0.37699919221762096, reps=300)",
+    ("ltm", INDEPENDENT): "SigmaEstimate(mean=14.106666666666667, stderr=0.3213437968108179, reps=300)",
+    ("dicm", CRN): "SigmaEstimate(mean=8.773333333333333, stderr=0.17600124995333308, reps=300)",
+    ("dicm", INDEPENDENT): "SigmaEstimate(mean=8.403333333333334, stderr=0.15308775351082365, reps=300)",
+    ("scm", CRN): "SigmaEstimate(mean=6.18, stderr=0.07194386514805463, reps=300)",
+    ("scm", INDEPENDENT): "SigmaEstimate(mean=6.016666666666667, stderr=0.06618415127764259, reps=300)",
+    ("twostep", CRN): "SigmaEstimate(mean=22.72, stderr=0.06179045396069602, reps=300)",
+    ("twostep", INDEPENDENT): "SigmaEstimate(mean=22.926666666666666, stderr=0.08002136466856087, reps=300)",
+}
+
+
+@pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+def test_sigma_mc_pinned(model, mode):
+    # one 37-vertex component plus isolated vertices 13, 30 and 34
+    g = gen_gnm(40, 60, seed=12)
+    est = sigma_mc(g, model, [0, 7, 13, 19, 33], OracleConfig(300, 2026, mode))
+    assert repr(est) == _PINNED_SIGMA[(model.kind, mode)]
 
 
 # ---------------------------------------------------------------- exact

@@ -135,6 +135,16 @@ def test_sigma_bad_seed_file_is_exit_3(edge, tmp_path):
     assert rc == 3
 
 
+def test_sigma_seed_outside_graph_is_exit_3(edge, tmp_path, capsys):
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("0\n5\n")
+    rc = run("sigma", "--graph", edge, "--cascade", "ltm", "--seeds", seeds,
+             "--reps", 10, "--seed", 1)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(seeds) in err and "seed id 5" in err
+
+
 # ---------------------------------------------------------------- maximize
 
 
