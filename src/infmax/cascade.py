@@ -243,9 +243,28 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
     return {int(v) for v in np.flatnonzero(infected)}
 
 
-# A round whose neighbor entries reach 1/_DENSE_SHARE of reps * nc adds its
-# counts with one dense bincount; a smaller round sorts only what it touches.
-_DENSE_SHARE = 4
+# A round whose frontier has at least reps * nc / _DENSE_SHARE edge entries
+# adds its counts with dense bincounts; a smaller round sorts only what it
+# touches.  Sparse G(n, m) cascades stay far below the switch, where a dense
+# step costs several times more; hierarchical scm cascades put a third of
+# their rounds above it, where sorting costs more.  Kernel time there is
+# flat for shares from 6 to 16 and grows as the share falls below 6.
+_DENSE_SHARE = 8
+
+
+def _targets(indptr, indices, nc, frontier, v, d):
+    """Flattened targets r * nc + w of the edges leaving the frontier.
+
+    v is frontier % nc and d its degrees.  The frontier's adjacency runs are
+    laid end to end: entry j belongs to the run that holds j and reads
+    indices at its offset in that run.
+    """
+    ends = np.cumsum(d)
+    pos = np.repeat(indptr[v] - (ends - d), d)
+    pos += np.arange(ends[-1])
+    targets = np.repeat(frontier - v, d)
+    targets += indices[pos]
+    return targets
 
 
 def _closure(indptr, indices, K, seed_cols) -> np.ndarray:
@@ -254,7 +273,8 @@ def _closure(indptr, indices, K, seed_cols) -> np.ndarray:
     (indptr, indices) is the CSR adjacency of the nc vertices and K their
     (reps, nc) count classes.  Entry (r, v) is flattened to r * nc + v; each
     round pushes the newly infected frontier along its edges and infects the
-    uninfected entries whose infected-neighbor count has reached K.
+    uninfected entries whose infected-neighbor count has reached K.  No push
+    builds edge arrays longer than reps * nc plus one vertex's degree.
     """
     reps, nc = K.shape
     size = reps * nc
@@ -268,19 +288,21 @@ def _closure(indptr, indices, K, seed_cols) -> np.ndarray:
     while frontier.size:
         v = frontier % nc
         d = degree[v]
-        ends = np.cumsum(d)
-        total = int(ends[-1])
-        # The frontier's adjacency runs laid end to end: entry j belongs to
-        # the vertex whose run holds j and reads indices at its offset there.
-        pos = np.arange(total) + np.repeat(indptr[v] - (ends - d), d)
-        targets = indices[pos] + np.repeat(frontier - v, d)
-        if total * _DENSE_SHARE >= size:
-            counts += np.bincount(targets, minlength=size)
-            frontier = np.flatnonzero((counts >= K) & ~infected)
-        else:
-            touched, hits = np.unique(targets, return_counts=True)
+        total = int(d.sum())
+        if total * _DENSE_SHARE < size:
+            touched, hits = np.unique(_targets(indptr, indices, nc, frontier, v, d), return_counts=True)
             counts[touched] += hits
             frontier = touched[(counts[touched] >= K[touched]) & ~infected[touched]]
+        else:
+            # Cut the frontier where its edge entries pass each multiple of
+            # reps * nc (a degree is below nc, so no slice is empty); the
+            # test after the last slice sees the same sums as one push.
+            cuts = np.searchsorted(np.cumsum(d), np.arange(size, total, size), side="right")
+            bounds = [0, *cuts.tolist(), frontier.size]
+            for lo, hi in zip(bounds, bounds[1:]):
+                part = _targets(indptr, indices, nc, frontier[lo:hi], v[lo:hi], d[lo:hi])
+                counts += np.bincount(part, minlength=size)
+            frontier = np.flatnonzero((counts >= K) & ~infected)
         infected[frontier] = True
     return infected.reshape(reps, nc)
 

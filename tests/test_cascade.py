@@ -226,16 +226,26 @@ _STEP_SHARES = {"sparse": 0, "dense": 10**9, "switched": cascade._DENSE_SHARE}
 @example(case=(Graph(5, [(0, 1), (1, 2)]), ALL_MODELS[0], 3, [], 0))
 @example(case=(Graph(5, [(0, 1), (1, 2)]), ALL_MODELS[4], 2, [3, 4], 1))
 @example(case=(Graph(6, [(0, i) for i in range(1, 6)]), ALL_MODELS[1], 4, [0], 2))
+# four of K_6 seeded: the first dense round pushes 20 edge entries per
+# repetition in slices of at most reps * nc
+@example(case=(Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]), ALL_MODELS[1], 3, [0, 1, 2, 3], 3))
 @settings(max_examples=80, deadline=None)
 def test_kernel_matches_dense_rounds(step, case):
     g, model, reps, seeds, theta_seed = case
     theta = 1.0 - np.random.default_rng(theta_seed).random((reps, g.n))
     K = cascade._count_classes(model, g.degrees, theta)
     A = g.csr()
-    with mock.patch.object(cascade, "_DENSE_SHARE", _STEP_SHARES[step]):
+    with (
+        mock.patch.object(cascade, "_DENSE_SHARE", _STEP_SHARES[step]),
+        mock.patch.object(cascade, "_targets", wraps=cascade._targets) as push,
+    ):
         infected = cascade._closure(A.indptr, A.indices, K, seeds)
     expected = _dense_rounds(g, K, seeds)
     assert np.array_equal(infected, expected)
+    # no push holds more edge entries than reps * nc plus one degree (a
+    # sparse step forced onto every round pushes whole rounds)
+    if step != "sparse":
+        assert all(c.args[5].sum() < reps * g.n + g.n for c in push.call_args_list)
 
 
 # sigma_mc reprs recorded with the earlier kernel, which rebuilt a sparse
