@@ -46,7 +46,7 @@ from .optimize import (
     mpa_update,
     retrieve_seeds,
 )
-from .synthgen import WeightedGuideTree, WorstCaseInstance, gen_hierarchical, gen_worstcase
+from .synthgen import WorstCaseInstance, gen_hierarchical, gen_worstcase
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "OracleConfig",
     "SeedSet",
     "SigmaEstimate",
-    "WeightedGuideTree",
     "WorstCaseInstance",
     "brute_force",
     "build_bisection",

@@ -11,6 +11,10 @@ a cascade is a monotone closure, so the infected set does not depend on how
 a round is computed: the Monte Carlo kernel pushes only the newly infected
 frontier of all repetitions at once along the raw CSR arrays, and exact
 expectations are computable by conditioning on one class boundary at a time.
+Both oracles evaluate a seed set one connected component at a time, on the
+component index that each Graph builds once and caches (graph.py): its
+split() validates and groups the seeds, and its per-component CSR arrays feed
+the kernel and the exact oracle's neighbor masks.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ class CascadeModel:
 
     kind is one of icm, ltm, dicm, scm, twostep.  Parameters not used by a
     kind must be None.  f(c, d) is nondecreasing in c, f(0, d) = 0,
-    f(d, d) <= 1.
+    f(d, d) <= 1; f_table(d) holds it for every c, and is the only place
+    the formulas live.
     """
 
     kind: str
@@ -94,26 +99,6 @@ class CascadeModel:
             return f"twostep:eps={self.eps!r}"
         return self.kind
 
-    def f(self, c: int, d: int) -> float:
-        """Activation probability with c of d neighbors infected."""
-        if c == 0:
-            return 0.0
-        if self.kind == "icm":
-            return 1.0 - (1.0 - self.p) ** c
-        if self.kind == "ltm":
-            return c / d
-        if self.kind == "dicm":
-            if c == 1:
-                return self.q * self.p
-            return 1.0 - (1.0 - self.p) ** c
-        if self.kind == "scm":
-            # Integer-scaled form of (x/2)^2 / ((x/2)^2 + (1-x)^2), x = c/d:
-            # exact at the symmetry point and at c = d.
-            half = c * c / 4.0
-            return half / (half + (d - c) ** 2)
-        # twostep
-        return self.eps if c == 1 else 1.0
-
     def f_table(self, d: int) -> np.ndarray:
         """f(c, d) for c = 0..d as a read-only vector."""
         c = np.arange(d + 1, dtype=np.float64)
@@ -126,6 +111,8 @@ class CascadeModel:
             if d >= 1:
                 out[1] = self.q * self.p
         elif self.kind == "scm":
+            # Integer-scaled form of (x/2)^2 / ((x/2)^2 + (1-x)^2), x = c/d:
+            # exact at the symmetry point and at c = d.
             half = c * c / 4.0
             denom = half + (d - c) ** 2
             out = np.divide(half, denom, out=np.zeros_like(half), where=denom > 0)
@@ -165,13 +152,13 @@ def parse_model(text: str) -> CascadeModel:
 
 
 def local_influence(model: CascadeModel, infected_count: int, degree: int) -> float:
-    """f(c, d) with argument validation."""
+    """f(c, d) with argument validation: the f_table(d) entry the cascades use."""
     c, d = int(infected_count), int(degree)
     if c < 0 or d < 0:
         raise ValueError("counts must be nonnegative")
     if c > d:
         raise ValueError(f"infected count {c} exceeds degree {d}")
-    return model.f(c, d)
+    return float(model.f_table(d)[c])
 
 
 @dataclass(frozen=True)
@@ -310,11 +297,12 @@ def _closure(indptr, indices, K, seed_cols) -> np.ndarray:
 class MonteCarloOracle:
     """Monte Carlo sigma(S) with shared threshold draws and result caching.
 
-    The oracle decomposes the graph into connected components and caches,
-    per component and per (component-local) seed set, the integer infected
-    counts of every repetition.  Totals are sums of cached integer vectors,
-    so results are bit-identical regardless of query order or parallelism.
-    calls counts every sigma() invocation, cache hits included.
+    The oracle works per connected component, on the graph's shared
+    component index, and caches, per component and per (component-local)
+    seed set, the integer infected counts of every repetition.  Totals are
+    sums of cached integer vectors, so results are bit-identical regardless
+    of query order or parallelism.  calls counts every sigma() invocation,
+    cache hits included.
     """
 
     def __init__(self, graph, model: CascadeModel, cfg: OracleConfig):
@@ -322,13 +310,8 @@ class MonteCarloOracle:
         self.model = model
         self.cfg = cfg
         self.calls = 0
-        comps = graph.components()
-        self._comp_of = np.zeros(graph.n, dtype=np.int64)
-        self._local_col = np.zeros(graph.n, dtype=np.int64)
-        for ci, verts in enumerate(comps):
-            self._comp_of[verts] = ci
-            self._local_col[verts] = np.arange(len(verts))
-        self._comp_data: dict[int, tuple] = {}
+        self._index = graph._component_index()
+        self._crn_classes: dict[int, np.ndarray] = {}
         self._memo: dict[tuple, np.ndarray] = {}
         if cfg.mode == CRN:
             rng = generator(DOMAIN_CRN, cfg.master_seed)
@@ -340,29 +323,23 @@ class MonteCarloOracle:
     # cache may be dropped wholesale without changing any result.
     _MEMO_LIMIT = 200_000
 
-    def _component(self, ci: int):
-        data = self._comp_data.get(ci)
-        if data is None:
-            verts = self.graph.components()[ci]
-            A = self.graph.csr()[verts][:, verts]
-            degrees = self.graph.degrees[verts]
-            K = None
-            if self._theta is not None:
-                K = _count_classes(self.model, degrees, self._theta[:, verts])
-            data = (verts, A, degrees, K)
-            self._comp_data[ci] = data
-        return data
+    def _classes(self, ci: int, theta: np.ndarray) -> np.ndarray:
+        index = self._index
+        return _count_classes(self.model, index.degrees[ci], theta[:, index.members[ci]])
 
-    def _batch_sim(self, A, K, seed_cols) -> np.ndarray:
+    def _batch_sim(self, ci: int, K, seed_cols) -> np.ndarray:
         """Infected count per repetition for one component, one seed set."""
-        return _closure(A.indptr, A.indices, K, seed_cols).sum(axis=1, dtype=np.int64)
+        infected = _closure(self._index.indptr[ci], self._index.indices[ci], K, seed_cols)
+        return infected.sum(axis=1, dtype=np.int64)
 
     def _crn_totals(self, ci: int, seed_cols: tuple[int, ...]) -> np.ndarray:
         key = (ci, seed_cols)
         totals = self._memo.get(key)
         if totals is None:
-            _, A, _, K = self._component(ci)
-            totals = self._batch_sim(A, K, list(seed_cols))
+            K = self._crn_classes.get(ci)
+            if K is None:
+                K = self._crn_classes[ci] = self._classes(ci, self._theta)
+            totals = self._batch_sim(ci, K, seed_cols)
             if len(self._memo) >= self._MEMO_LIMIT:
                 self._memo.clear()
             self._memo[key] = totals
@@ -370,24 +347,19 @@ class MonteCarloOracle:
 
     def sigma(self, seeds) -> SigmaEstimate:
         self.calls += 1
-        seed_list = sorted({int(v) for v in seeds})
-        if seed_list and (seed_list[0] < 0 or seed_list[-1] >= self.graph.n):
-            raise ValueError("seed outside vertex range")
+        groups = self._index.split(seeds)
         reps = self.cfg.reps
         totals = np.zeros(reps, dtype=np.int64)
-        by_comp: dict[int, list[int]] = {}
-        for v in seed_list:
-            by_comp.setdefault(int(self._comp_of[v]), []).append(int(self._local_col[v]))
         if self.cfg.mode == CRN:
-            for ci, cols in sorted(by_comp.items()):
-                totals += self._crn_totals(ci, tuple(cols))
+            for ci, cols in groups:
+                totals += self._crn_totals(ci, cols)
         else:
-            rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, seeds_digest(seed_list))
+            members = self._index.members
+            digest = seeds_digest(members[ci][c] for ci, cols in groups for c in cols)
+            rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, digest)
             theta = 1.0 - rng.random((reps, self.graph.n))
-            for ci, cols in sorted(by_comp.items()):
-                verts, A, degrees, _ = self._component(ci)
-                K = _count_classes(self.model, degrees, theta[:, verts])
-                totals += self._batch_sim(A, K, cols)
+            for ci, cols in groups:
+                totals += self._batch_sim(ci, self._classes(ci, theta), cols)
         mean = float(totals.mean())
         stderr = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         return SigmaEstimate(mean, stderr, reps)
@@ -420,48 +392,27 @@ class ExactOracle:
         self.budget = int(budget)
         self.calls = 0
         self._states = 0
-        self._comp_local: list[dict] = []
+        self._index = index = graph._component_index()
+        # Per component: neighbor bitmasks over local columns, degrees and
+        # f tables of its vertices.
+        self._comp_local: list[tuple] = []
         self._result_memo: dict[tuple, float] = {}
         self._state_memos: list[dict] = []
-        comps = graph.components()
-        self._comp_of = np.zeros(graph.n, dtype=np.int64)
-        self._local_col = np.zeros(graph.n, dtype=np.int64)
-        for ci, verts in enumerate(comps):
-            self._comp_of[verts] = ci
-            self._local_col[verts] = np.arange(len(verts))
-            local = {int(v): i for i, v in enumerate(verts)}
-            masks = []
-            tables = []
-            degs = []
-            for v in verts:
-                mask = 0
-                for u in graph.neighbors(int(v)):
-                    mask |= 1 << local[int(u)]
-                masks.append(mask)
-                d = graph.degree(int(v))
-                degs.append(d)
-                tables.append(tuple(model.f_table(d)))
-            self._comp_local.append(
-                {"masks": tuple(masks), "degs": tuple(degs), "tables": tuple(tables)}
-            )
+        for indptr, indices, degrees in zip(index.indptr, index.indices, index.degrees):
+            bounds, cols, degs = indptr.tolist(), indices.tolist(), tuple(degrees.tolist())
+            masks = tuple(sum(1 << c for c in cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+            tables = tuple(tuple(model.f_table(d)) for d in degs)
+            self._comp_local.append((masks, degs, tables))
             self._state_memos.append({})
 
     def value(self, seeds) -> float:
         """Exact expected infected count."""
         self.calls += 1
-        seed_list = sorted({int(v) for v in seeds})
-        if seed_list and (seed_list[0] < 0 or seed_list[-1] >= self.graph.n):
-            raise ValueError("seed outside vertex range")
-        by_comp: dict[int, list[int]] = {}
-        for v in seed_list:
-            by_comp.setdefault(int(self._comp_of[v]), []).append(int(self._local_col[v]))
         parts = []
-        for ci, cols in sorted(by_comp.items()):
-            key = (ci, tuple(cols))
+        for key in self._index.split(seeds):
             val = self._result_memo.get(key)
             if val is None:
-                val = self._component_value(ci, cols)
-                self._result_memo[key] = val
+                val = self._result_memo[key] = self._component_value(*key)
             parts.append(val)
         return math.fsum(parts)
 
@@ -469,10 +420,7 @@ class ExactOracle:
         return SigmaEstimate(self.value(seeds), 0.0, 0)
 
     def _component_value(self, ci: int, seed_cols) -> float:
-        data = self._comp_local[ci]
-        masks = data["masks"]
-        degs = data["degs"]
-        tables = data["tables"]
+        masks, degs, tables = self._comp_local[ci]
         nc = len(masks)
         memo = self._state_memos[ci]
 

@@ -35,8 +35,15 @@ from ._rng import DOMAIN_BENCH_ROW, DOMAIN_BENCH_TREE, mix64
 
 _ALGORITHMS = ("greedy", "dpim", "mpa", "brute-force")
 _ALGO_CODE = {name: code for code, name in enumerate(_ALGORITHMS, start=1)}
-_BUILDERS = ("random-pair", "random-edge", "jaccard", "bisection")
 _NEEDS_TREE = {"dpim", "mpa"}
+# Decomposition builders by name, each called as fn(graph, seed); jaccard is
+# deterministic and ignores the seed.
+_BUILDERS = {
+    "random-pair": build_random_pair,
+    "random-edge": build_random_edge,
+    "jaccard": lambda graph, seed: build_jaccard(graph),
+    "bisection": build_bisection,
+}
 
 
 def _read_seed_file(path, n: int) -> list[int]:
@@ -74,6 +81,16 @@ class _UsageError(Exception):
     pass
 
 
+def _oracle_config(args):
+    """'exact' under --exact, else the Monte Carlo settings from --reps and --seed."""
+    if args.exact:
+        return "exact"
+    if args.reps is None:
+        raise _UsageError("--reps is required without --exact")
+    _require_seed(args)
+    return OracleConfig(args.reps, args.seed)
+
+
 def _cmd_gen_hier(args) -> int:
     _require_seed(args)
     graph, tree = gen_hierarchical(args.d, args.l, args.t, args.seed)
@@ -99,17 +116,9 @@ def _cmd_gen_gnm(args) -> int:
 
 def _cmd_decompose(args) -> int:
     graph = load_edge_list(args.graph)
-    if args.method == "jaccard":
-        tree = build_jaccard(graph)
-    else:
+    if args.method != "jaccard":
         _require_seed(args)
-        builder = {
-            "random-pair": build_random_pair,
-            "random-edge": build_random_edge,
-            "bisection": build_bisection,
-        }[args.method]
-        tree = builder(graph, args.seed)
-    write_tree(tree, args.out)
+    write_tree(_BUILDERS[args.method](graph, args.seed), args.out)
     return 0
 
 
@@ -124,44 +133,44 @@ def _cmd_sigma(args) -> int:
     graph = load_edge_list(args.graph)
     model = parse_model(args.cascade)
     seeds = _read_seed_file(args.seeds, graph.n)
-    if args.exact:
-        val = sigma_exact(graph, model, seeds)
-        print(f"{val!r} 0.0")
-        return 0
-    if args.reps is None:
-        raise _UsageError("--reps is required without --exact")
-    _require_seed(args)
-    est = sigma_mc(graph, model, seeds, OracleConfig(args.reps, args.seed))
-    print(f"{est.mean!r} {est.stderr!r}")
+    cfg = _oracle_config(args)
+    if cfg == "exact":
+        print(f"{sigma_exact(graph, model, seeds)!r} 0.0")
+    else:
+        est = sigma_mc(graph, model, seeds, cfg)
+        print(f"{est.mean!r} {est.stderr!r}")
     return 0
 
 
 def _cmd_maximize(args) -> int:
     graph = load_edge_list(args.graph)
     model = parse_model(args.cascade)
-    if args.exact:
-        cfg = "exact"
-    else:
-        if args.reps is None:
-            raise _UsageError("--reps is required without --exact")
-        _require_seed(args)
-        cfg = OracleConfig(args.reps, args.seed)
+    cfg = _oracle_config(args)
+    tree = None
     if args.algo in _NEEDS_TREE:
         if args.tree is None:
             raise _UsageError(f"--tree is required for {args.algo}")
         tree = read_tree(args.tree)
-        if args.algo == "dpim":
-            result = dpim(graph, tree, model, args.k, cfg)
-        else:
-            result = mpa(graph, tree, model, args.k, cfg, max_outer=args.max_outer)
-    elif args.algo == "greedy":
-        result = greedy(graph, model, args.k, cfg)
-    else:
-        result = brute_force(graph, model, args.k, cfg)
+    result = _run_algorithm(args.algo, graph, tree, model, args.k, cfg, args.max_outer)
     _write_seed_file(args.out, result.vertices, result.sigma)
     est = result.sigma
     print(f"sigma {est.mean!r} {est.stderr!r} reps {est.reps} oracle_calls {result.oracle_calls}")
     return 0
+
+
+def _run_algorithm(algo, graph, tree, model, k, cfg, max_outer):
+    """Run one optimizer; greedy and dpim must stay within their query budgets."""
+    if algo == "greedy":
+        result = greedy(graph, model, k, cfg)
+        assert result.oracle_calls <= graph.n * k
+    elif algo == "dpim":
+        result = dpim(graph, tree, model, k, cfg)
+        assert result.oracle_calls <= (2 * graph.n - 1) * (k + 1) ** 2
+    elif algo == "mpa":
+        result = mpa(graph, tree, model, k, cfg, max_outer=max_outer)
+    else:
+        result = brute_force(graph, model, k, cfg)
+    return result
 
 
 @dataclass(frozen=True)
@@ -299,28 +308,20 @@ def _build_graph_source(source: str):
 
 
 def _build_trial_trees(config: BenchConfig, graph, truth):
-    """One decomposition per trial (shared by all algorithms in the trial)."""
+    """One decomposition (or None) per trial, shared by all algorithms in the trial."""
     source = config.tree_source
     if source is None:
-        return None
+        return [None] * config.trials
     if source == "truth":
         if truth is None:
             raise ConsistencyError("tree 'truth' needs a hier: or worstcase: graph")
         return [truth] * config.trials
     if source in _BUILDERS:
-        trees = []
-        for trial in range(config.trials):
-            if source == "jaccard":
-                trees.append(build_jaccard(graph))
-            else:
-                builder = {
-                    "random-pair": build_random_pair,
-                    "random-edge": build_random_edge,
-                    "bisection": build_bisection,
-                }[source]
-                seed = mix64(DOMAIN_BENCH_TREE, config.master_seed, trial)
-                trees.append(builder(graph, seed))
-        return trees
+        build = _BUILDERS[source]
+        return [
+            build(graph, mix64(DOMAIN_BENCH_TREE, config.master_seed, trial))
+            for trial in range(config.trials)
+        ]
     return [read_tree(source)] * config.trials
 
 
@@ -332,21 +333,12 @@ _BENCH_STATE: dict = {}
 def _bench_row(task):
     algo, spec, k, trial, row_seed = task
     state = _BENCH_STATE
-    graph = state["graph"]
     model = state["models"][spec]
-    trees = state["trees"]
     cfg = OracleConfig(state["reps"], row_seed)
     t0 = time.perf_counter()
-    if algo == "greedy":
-        result = greedy(graph, model, k, cfg)
-        assert result.oracle_calls <= graph.n * k
-    elif algo == "dpim":
-        result = dpim(graph, trees[trial], model, k, cfg)
-        assert result.oracle_calls <= (2 * graph.n - 1) * (k + 1) ** 2
-    elif algo == "mpa":
-        result = mpa(graph, trees[trial], model, k, cfg, max_outer=state["max_outer"])
-    else:
-        result = brute_force(graph, model, k, cfg)
+    result = _run_algorithm(
+        algo, state["graph"], state["trees"][trial], model, k, cfg, state["max_outer"]
+    )
     elapsed = time.perf_counter() - t0
     stamp = f"{elapsed:.3f}" if state["timing"] == "wall" else "0.000"
     est = result.sigma

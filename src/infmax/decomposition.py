@@ -273,20 +273,23 @@ def build_random_pair(graph, seed: int) -> HierarchyTree:
     n = graph.n
     if n == 1:
         return _singleton_tree()
-    rng = generator(DOMAIN_TREE_RANDOM_PAIR, seed)
     asm = _Agglomerator(n)
-    active = list(range(n))
-    while len(active) > 1:
-        i = int(rng.integers(len(active)))
-        a = active[i]
-        active[i] = active[-1]
-        active.pop()
-        j = int(rng.integers(len(active)))
-        b = active[j]
-        active[j] = active[-1]
-        active.pop()
-        active.append(asm.merge(a, b))
+    _merge_random_pairs(asm, list(range(n)), generator(DOMAIN_TREE_RANDOM_PAIR, seed))
     return asm.tree()
+
+
+def _merge_random_pairs(asm: _Agglomerator, active: list[int], rng) -> None:
+    """Merge uniformly random pairs of the active nodes until one is left.
+
+    Each pick swaps the last active node into the picked one's slot.
+    """
+    while len(active) > 1:
+        pair = []
+        for _ in range(2):
+            i = int(rng.integers(len(active)))
+            active[i], active[-1] = active[-1], active[i]
+            pair.append(active.pop())
+        active.append(asm.merge(*pair))
 
 
 def build_random_edge(graph, seed: int) -> HierarchyTree:
@@ -324,17 +327,7 @@ def build_random_edge(graph, seed: int) -> HierarchyTree:
         part_node[rv] = node
         merges_left -= 1
     if merges_left:
-        active = sorted({part_node[find(v)] for v in range(n)})
-        while len(active) > 1:
-            i = int(rng.integers(len(active)))
-            a = active[i]
-            active[i] = active[-1]
-            active.pop()
-            j = int(rng.integers(len(active)))
-            b = active[j]
-            active[j] = active[-1]
-            active.pop()
-            active.append(asm.merge(a, b))
+        _merge_random_pairs(asm, sorted({part_node[find(v)] for v in range(n)}), rng)
     return asm.tree()
 
 
@@ -432,30 +425,16 @@ def build_bisection(graph, seed: int) -> HierarchyTree:
     chosen from a few seeded BFS starts by cut size, then improved by
     balance-preserving single swaps while they strictly reduce the cut.
     """
-    n = graph.n
-    if n == 1:
-        return _singleton_tree()
     rng = generator(DOMAIN_TREE_BISECTION, seed)
     A = graph.csr()
-    parents: list[int] = []
-    leaves: list[int] = []
 
-    def new_node(parent):
-        parents.append(parent)
-        leaves.append(-1)
-        return len(parents) - 1
-
-    def split(ids: np.ndarray, parent: int):
-        me = new_node(parent)
+    def split(ids: np.ndarray):
         if ids.size == 1:
-            leaves[me] = int(ids[0])
-            return
+            return int(ids[0])
         side = _bisect_once(A, ids, rng)
-        split(ids[side], me)
-        split(ids[~side], me)
+        return (split(ids[side]), split(ids[~side]))
 
-    split(np.arange(n, dtype=np.int64), -1)
-    return HierarchyTree(parents, leaves)
+    return tree_from_nested(split(np.arange(graph.n, dtype=np.int64)))
 
 
 _BISECT_STARTS = 3

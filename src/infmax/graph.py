@@ -6,6 +6,12 @@ line of exactly "# nodes: N" declares the vertex count, which is the only way
 to represent isolated vertices.  Files with that header are treated as
 canonical (ids are used as-is and must be dense-compatible); files without it
 have their ids remapped to [0, n) in first-appearance order.
+
+A Graph holds its adjacency as one int32 CSR matrix, built with the graph;
+neighbor lists and degrees are read from it.  The connected-component index
+that both influence oracles share (component labels, local columns, each
+component's adjacency in local columns, and the per-component split of a
+seed set) is built from the CSR on first use and cached on the graph.
 """
 
 from __future__ import annotations
@@ -65,11 +71,14 @@ class Graph:
             self._orig_ids = tuple(int(x) for x in orig_ids)
             if len(self._orig_ids) != n:
                 raise ValueError("orig_ids length must equal n")
-        self._adj = _build_adjacency(n, arr)
-        self._degrees = np.array([len(a) for a in self._adj], dtype=np.int64)
+        u, v = arr[:, 0], arr[:, 1]
+        self._csr = sp.csr_array(
+            (np.ones(2 * len(arr), dtype=np.int32), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(n, n),
+        )
+        self._degrees = np.diff(self._csr.indptr).astype(np.int64)
         self._degrees.setflags(write=False)
-        self._csr = None
-        self._components = None
+        self._index = None
 
     @property
     def n(self) -> int:
@@ -87,8 +96,11 @@ class Graph:
         return int(self._degrees[v])
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (read-only view)."""
-        return self._adj[v]
+        """Sorted neighbor ids of v (read-only view of the CSR)."""
+        indptr = self._csr.indptr
+        out = self._csr.indices[indptr[v]:indptr[v + 1]]
+        out.setflags(write=False)
+        return out
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -99,27 +111,17 @@ class Graph:
         return v if self._orig_ids is None else self._orig_ids[v]
 
     def csr(self) -> sp.csr_array:
-        """0/1 adjacency matrix as int32 CSR, cached."""
-        if self._csr is None:
-            u, v = self._edges[:, 0], self._edges[:, 1]
-            data = np.ones(2 * self.m, dtype=np.int32)
-            rows = np.concatenate([u, v])
-            cols = np.concatenate([v, u])
-            self._csr = sp.csr_array((data, (rows, cols)), shape=(self._n, self._n))
+        """0/1 adjacency matrix as int32 CSR with sorted indices."""
         return self._csr
 
     def components(self) -> list[np.ndarray]:
-        """Connected components as sorted vertex arrays, cached."""
-        if self._components is None:
-            if self._n == 0:
-                self._components = []
-            else:
-                ncomp, labels = sp.csgraph.connected_components(self.csr(), directed=False)
-                comps = [[] for _ in range(ncomp)]
-                for v, c in enumerate(labels):
-                    comps[c].append(v)
-                self._components = [np.array(c, dtype=np.int64) for c in comps]
-        return self._components
+        """Connected components as sorted vertex arrays, ordered by smallest vertex."""
+        return self._component_index().members
+
+    def _component_index(self) -> "_ComponentIndex":
+        if self._index is None:
+            self._index = _ComponentIndex(self._csr)
+        return self._index
 
     def write(self, path) -> None:
         """Emit '# nodes: N' followed by 'u v' lines, u < v, ascending."""
@@ -143,17 +145,53 @@ class Graph:
         return f"Graph(n={self._n}, m={self.m})"
 
 
-def _build_adjacency(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    out = []
-    for nbrs in adj:
-        a = np.array(sorted(nbrs), dtype=np.int64)
-        a.setflags(write=False)
-        out.append(a)
-    return out
+class _ComponentIndex:
+    """Connected components of a CSR graph, numbered by smallest vertex.
+
+    Vertex v lies in component labels[v] at local column local[v] (both kept
+    only for split).  members[ci] lists component ci's vertices in ascending
+    order, and indptr[ci], indices[ci] and degrees[ci] are its adjacency in
+    local columns: the graph's CSR rows of members[ci], remapped through
+    local.  members, indices and degrees are read-only views of arrays that
+    all components share.
+    """
+
+    def __init__(self, csr):
+        n = csr.shape[0]
+        _, labels = sp.csgraph.connected_components(csr, directed=False)
+        sizes = np.bincount(labels)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        order = np.argsort(labels, kind="stable")
+        local = np.empty(n, dtype=np.int64)
+        local[order] = np.arange(n) - np.repeat(bounds[:-1], sizes)
+        # The CSR rows of all components laid end to end, in component order.
+        degree = np.diff(csr.indptr)[order]
+        indptr = np.concatenate([[0], np.cumsum(degree)])
+        pos = np.repeat(csr.indptr[order] - indptr[:-1], degree) + np.arange(indptr[-1])
+        indices = local[csr.indices[pos]]
+        for arr in (order, degree, indptr, indices):
+            arr.setflags(write=False)
+        self.members, self.indptr, self.indices, self.degrees = [], [], [], []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            self.members.append(order[lo:hi])
+            self.indptr.append(indptr[lo:hi + 1] - indptr[lo])
+            self.indices.append(indices[indptr[lo]:indptr[hi]])
+            self.degrees.append(degree[lo:hi])
+        self._where = list(zip(labels.tolist(), local.tolist()))
+
+    def split(self, seeds) -> list[tuple[int, tuple[int, ...]]]:
+        """The distinct seeds as (component, sorted local columns), by component.
+
+        Raises ValueError for a seed outside [0, n).
+        """
+        seed_list = sorted({int(v) for v in seeds})
+        if seed_list and (seed_list[0] < 0 or seed_list[-1] >= len(self._where)):
+            raise ValueError("seed outside vertex range")
+        groups: dict[int, list[int]] = {}
+        for v in seed_list:
+            ci, col = self._where[v]
+            groups.setdefault(ci, []).append(col)
+        return [(ci, tuple(cols)) for ci, cols in sorted(groups.items())]
 
 
 def load_edge_list(path) -> Graph:

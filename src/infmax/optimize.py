@@ -213,30 +213,33 @@ def _follow(tree: HierarchyTree, node: int, direction: str):
 
 
 def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair, ell: int) -> frozenset[int]:
-    """Recursively follow the table's advice from (node, dpair, ell)."""
-    dpair = tuple(dpair)
-    if ell <= 0:
-        return frozenset()
-    if dpair == LR:
-        if tree.is_leaf(node):
-            return frozenset((tree.leaf_vertex(node),))
-        s1, s2 = table.get(node, LR, ell)
-        return retrieve_seeds(tree, table, tree.left(node), LR, s1) | retrieve_seeds(
-            tree, table, tree.right(node), LR, s2
-        )
-    down = dpair[0]
-    if node == tree.root:
-        child = tree.left(node) if down == "L" else tree.right(node)
-        return retrieve_seeds(tree, table, child, LR, ell)
-    if tree.is_leaf(node):
-        return frozenset()
-    s1, s2 = table.get(node, dpair, ell)
-    child = tree.left(node) if down == "L" else tree.right(node)
-    out = retrieve_seeds(tree, table, child, LR, s1)
-    up = _follow(tree, node, "U")
-    if up is not None and s2 > 0:
-        out |= retrieve_seeds(tree, table, up[0], up[1], s2)
-    return out
+    """Follow the table's advice from (node, dpair, ell) to the leaves it reaches.
+
+    The walk keeps an explicit stack of (node, dpair, ell) steps, so its
+    depth is not bounded by Python's recursion limit.
+    """
+    found: list[int] = []
+    stack = [(node, tuple(dpair), ell)]
+    while stack:
+        node, dpair, ell = stack.pop()
+        if ell <= 0:
+            continue
+        if dpair == LR:
+            if tree.is_leaf(node):
+                found.append(tree.leaf_vertex(node))
+            else:
+                s1, s2 = table.get(node, LR, ell)
+                stack += [(tree.left(node), LR, s1), (tree.right(node), LR, s2)]
+            continue
+        child = tree.left(node) if dpair[0] == "L" else tree.right(node)
+        if node == tree.root:
+            stack.append((child, LR, ell))
+        elif not tree.is_leaf(node):
+            s1, s2 = table.get(node, dpair, ell)
+            stack.append((child, LR, s1))
+            parent, pair = _follow(tree, node, "U")
+            stack.append((parent, pair, s2))
+    return frozenset(found)
 
 
 def _capacity(tree: HierarchyTree, node: int, direction: str) -> int:

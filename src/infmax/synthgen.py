@@ -9,43 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cascade import CascadeModel
-from .decomposition import HierarchyTree
+from .decomposition import HierarchyTree, tree_from_nested
 from .errors import CapacityError
 from .graph import Graph
 from ._rng import DOMAIN_HIER, generator
-
-
-@dataclass(frozen=True)
-class WeightedGuideTree:
-    """Complete binary tree of given depth with integer edge weights.
-
-    Nodes use heap indexing (children of i are 2i+1 and 2i+2); leaves are
-    the last 2^depth nodes and map to graph vertices in order.  weights[i]
-    is the weight of the edge joining node i to its parent (weights[0] is
-    unused and zero).
-    """
-
-    depth: int
-    weights: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return 2 ** (self.depth + 1) - 1
-
-    @property
-    def first_leaf(self) -> int:
-        return 2**self.depth - 1
-
-    def topology(self) -> HierarchyTree:
-        """The guide tree's shape as a decomposition over its leaves."""
-        count = self.node_count
-        first = self.first_leaf
-        parents = [(i - 1) // 2 if i else -1 for i in range(count)]
-        leaf_vertex = [i - first if i >= first else -1 for i in range(count)]
-        return HierarchyTree(parents, leaf_vertex)
 
 
 def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, HierarchyTree]:
@@ -61,7 +29,7 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
     If zero-weight edges leave a vertex with fewer than t reachable
     targets, the redraw cap trips and a CapacityError is raised.
 
-    Returns the graph and the guide tree topology as the ground-truth
+    Returns the graph and the guide tree's shape as the ground-truth
     decomposition.
     """
     if d < 1:
@@ -74,10 +42,10 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
     rng = generator(DOMAIN_HIER, seed)
     count = 2 ** (d + 1) - 1
     first = n - 1
-    weights = np.zeros(count, dtype=np.int64)
-    weights[1:] = rng.binomial(l, 0.5, size=count - 1)
-    guide = WeightedGuideTree(d, weights)
-    wlist = weights.tolist()
+    # Guide-tree nodes are heap-indexed: node i has children 2i+1 and 2i+2,
+    # and leaf first + v stands for vertex v.  weights[i] is the weight of
+    # the edge joining node i to its parent.
+    weights = [0] + rng.binomial(l, 0.5, size=count - 1).tolist()
 
     edges: set[tuple[int, int]] = set()
     for v in range(n):
@@ -88,7 +56,7 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
         for _ in range(_REDRAW_CAP):
             if len(targets) == t:
                 break
-            terminal = _walk(v + first, first, count, wlist, rng)
+            terminal = _walk(v + first, first, count, weights, rng)
             if terminal >= 0 and terminal != v and terminal not in targets:
                 targets.add(terminal)
         if len(targets) < t:
@@ -98,7 +66,8 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
             )
         for u in targets:
             edges.add((min(v, u), max(v, u)))
-    return Graph(n, edges), guide.topology()
+    parents = [-1] + [(i - 1) // 2 for i in range(1, count)]
+    return Graph(n, edges), HierarchyTree(parents, [-1] * first + list(range(n)))
 
 
 _WALK_STEP_CAP = 10**6
@@ -173,28 +142,10 @@ def gen_worstcase(n: int) -> WorstCaseInstance:
     edges.extend((c2, leaf) for leaf in star2[1:])
     graph = Graph(2 * n * n + n + 2, edges)
 
-    parents: list[int] = []
-    leaves: list[int] = []
+    # Balanced halves, with the first ceil(s/2) ids on the left.
+    def balanced(ids):
+        mid = (len(ids) + 1) // 2
+        return ids[0] if len(ids) == 1 else (balanced(ids[:mid]), balanced(ids[mid:]))
 
-    def new_node(parent):
-        parents.append(parent)
-        leaves.append(-1)
-        return len(parents) - 1
-
-    def balanced(ids, parent):
-        me = new_node(parent)
-        if len(ids) == 1:
-            leaves[me] = ids[0]
-        else:
-            mid = (len(ids) + 1) // 2
-            balanced(ids[:mid], me)
-            balanced(ids[mid:], me)
-        return me
-
-    root = new_node(-1)
-    balanced(clique, root)
-    stars = new_node(root)
-    balanced(star1, stars)
-    balanced(star2, stars)
-    tree = HierarchyTree(parents, leaves)
+    tree = tree_from_nested((balanced(clique), (balanced(star1), balanced(star2))))
     return WorstCaseInstance(graph, CascadeModel.twostep(1.0 / (n * n)), tree, n)

@@ -79,6 +79,28 @@ def test_local_influence_validates():
         local_influence(m, 4, 3)
 
 
+# Python's float ** int and numpy's power differ in the last bit here
+_WITNESS_P = 0.04097352393619469
+
+
+@pytest.mark.parametrize(
+    "model",
+    ALL_MODELS
+    + [CascadeModel.icm(p) for p in (_WITNESS_P, 0.001, 0.1, 0.5, 0.731)]
+    + [CascadeModel.dicm(p, q) for p in (_WITNESS_P, 0.1, 0.62) for q in (0.1, 0.45)],
+    ids=lambda m: m.spec,
+)
+def test_local_influence_is_the_table_entry(model):
+    # the public scalar reports, bit for bit, the value the cascades use
+    for d in range(65):
+        got = np.array([local_influence(model, c, d) for c in range(d + 1)])
+        assert got.tobytes() == model.f_table(d).tobytes()
+
+
+def test_local_influence_witness_entry():
+    assert local_influence(CascadeModel.icm(_WITNESS_P), 9, 9) == 0.3137610363461497
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
 def test_monotone_in_neighbors(model):
     # every model's f is nondecreasing in c at fixed degree
@@ -409,6 +431,23 @@ def test_exact_oracle_counts_and_reps_zero():
     assert est.reps == 0
     assert est.stderr == 0.0
     assert oracle.calls == 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1)).sigma,
+        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1, INDEPENDENT)).sigma,
+        lambda g: ExactOracle(g, CascadeModel.ltm()).value,
+        lambda g: ExactOracle(g, CascadeModel.ltm()).sigma,
+    ],
+    ids=["mc-crn", "mc-independent", "exact-value", "exact-sigma"],
+)
+def test_oracles_reject_seed_outside_graph(query):
+    ask = query(Graph(4, [(0, 1)]))
+    for seeds in ([4], [0, -1], [2, 9]):
+        with pytest.raises(ValueError, match="seed outside"):
+            ask(seeds)
 
 
 def test_config_validates():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -316,6 +317,50 @@ def test_bench_tree_required_for_dpim(tmp_path):
     with pytest.raises(FormatError):
         parse_bench_config(cfg)
     assert run("bench", "--config", cfg) == 3
+
+
+# Digests of bench CSVs (timing = none) and decompose outputs, recorded
+# before the CLI's builder table and algorithm dispatch were merged, so a
+# change of result bytes across commits fails here.  gnm:n=14,m=11,seed=5 has
+# one 10-vertex component and four isolated vertices, which also sends
+# random-edge into its random-pair fallback.
+_BENCH_PINS = {
+    ("gnm:n=14,m=11,seed=5", "random-pair"): "e2ae76c11018d70485dabec2e59a58cd9f60b27f2ddd265130ac532758f1a016",
+    ("gnm:n=14,m=11,seed=5", "random-edge"): "de767abe689e5bbee5992c5202ada77f66713870807faa9248abd2c17168cc77",
+    ("gnm:n=14,m=11,seed=5", "jaccard"): "74ea5a5aeeb1d71a2a4aeff05830f35dca2d6ce6de3265b982806fe16d1d6d11",
+    ("gnm:n=14,m=11,seed=5", "bisection"): "9646958f4498d71f20982ee6e086db7985c1a2a8445843f1f8ab40b1dc4b7af4",
+    ("worstcase:n=3", "truth"): "e5a7bb272f04671b118744b0ef1dec4c104445e126918935bbb684e0f4697c0f",
+}
+
+
+@pytest.mark.parametrize("graph, tree", sorted(_BENCH_PINS))
+def test_bench_csv_pinned(tmp_path, graph, tree):
+    cfg = tmp_path / "bench.cfg"
+    out = _write_config(
+        cfg, graph=graph, tree=tree,
+        cascade="icm:p=0.3;dicm:p=0.3,q=0.5;ltm;scm;twostep:eps=0.2",
+        algorithms="greedy,dpim,mpa,brute-force", k="1,3", reps="16",
+        master_seed="7", trials="2", max_outer="3",
+    )
+    assert run("bench", "--config", cfg) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _BENCH_PINS[graph, tree]
+
+
+_DECOMPOSE_PINS = {
+    "random-pair": "7fa7d0e7d2163de40261ac8315f76dc75b4df88af85cb34b556c974c79b46efd",
+    "random-edge": "248a51053e205a1f6c1dd20690cb81788dedb87349096daab94767bc9f9f19b2",
+    "jaccard": "2d648b77398d48b6e6ae6c9ae58fd1eff223304bc953a3bd64e2b151eeb70fbe",
+    "bisection": "bb16da19288622039ecccec0cdbdefb9227d1b3200b820e9116e3b003eff045b",
+}
+
+
+@pytest.mark.parametrize("method", sorted(_DECOMPOSE_PINS))
+def test_decompose_pinned(tmp_path, method):
+    graph, out = tmp_path / "g.txt", tmp_path / "t.tree"
+    assert run("gen-gnm", "--n", 14, "--m", 11, "--seed", 5, "--out", graph) == 0
+    assert run("decompose", "--method", method, "--graph", graph,
+               "--seed", 9, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _DECOMPOSE_PINS[method]
 
 
 # ---------------------------------------------------------------- parser

@@ -38,6 +38,12 @@ def test_components_sorted():
     assert sorted(map(tuple, comps)) == [(0, 1), (2, 3, 4), (5,)]
 
 
+def test_components_ordered_by_smallest_vertex():
+    # isolated vertices 2, 4 and 7 are components of their own
+    g = Graph(8, [(3, 5), (6, 0), (5, 1)])
+    assert [c.tolist() for c in g.components()] == [[0, 6], [1, 3, 5], [2], [4], [7]]
+
+
 def test_load_plain_edge_list(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("0 1\n1 2\n")
@@ -129,3 +135,12 @@ def test_gen_gnm_invariants(n, data):
         # simple: no repeated pairs
         assert len({tuple(e) for e in edges.tolist()}) == m
     assert int(g.degrees.sum()) == 2 * m
+    assert not g.degrees.flags.writeable
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for v in range(n):
+        nbrs = g.neighbors(v)
+        assert nbrs.tolist() == sorted(adjacency[v])
+        assert not nbrs.flags.writeable

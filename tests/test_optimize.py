@@ -10,6 +10,7 @@ from infmax import (
     ConsistencyError,
     ExactOracle,
     Graph,
+    HierarchyTree,
     MonteCarloOracle,
     OracleConfig,
     brute_force,
@@ -175,6 +176,34 @@ def test_retrieve_root_up_budget_bypasses():
     left = tree.left(tree.root)
     got = retrieve_seeds(tree, table, tree.root, ("L", "U"), 1)
     assert got == retrieve_seeds(tree, table, left, ("L", "R"), 1)
+
+
+def _caterpillar(n):
+    """Tree of height n - 1: internal node n + j joins the spine below it
+    (node n + j - 1, or leaf 0 when j = 0) with leaf j + 1."""
+    parents = [-1] * (2 * n - 1)
+    parents[0] = n
+    for j in range(n - 1):
+        parents[j + 1] = n + j
+        if j:
+            parents[n + j - 1] = n + j
+    return HierarchyTree(parents, list(range(n)) + [-1] * (n - 1))
+
+
+def test_retrieve_deeper_than_recursion_limit():
+    tree = _caterpillar(1500)
+    assert tree.tree_height == 1499
+    table = _table_for(tree, 1)
+    for node in range(1500, tree.node_count):
+        # the leaf has the smaller id, so the spine is the right child
+        table.set(node, ("L", "R"), 1, 0, 1)
+    assert retrieve_seeds(tree, table, tree.root, ("L", "R"), 1) == {1}
+
+
+def test_mpa_deeper_than_recursion_limit():
+    path = Graph(1500, [(v, v + 1) for v in range(1499)])
+    res = mpa(path, _caterpillar(1500), CascadeModel.icm(0.5), 1, OracleConfig(2, 1), max_outer=0)
+    assert len(res.vertices) == 1
 
 
 def test_allocation_table_validates():
