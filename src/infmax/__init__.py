@@ -39,7 +39,6 @@ from .optimize import (
     SeedSet,
     brute_force,
     dpim,
-    dpim_table,
     greedy,
     mpa,
     mpa_init_table,
@@ -74,7 +73,6 @@ __all__ = [
     "build_random_pair",
     "dasgupta_cost",
     "dpim",
-    "dpim_table",
     "gen_gnm",
     "gen_hierarchical",
     "gen_worstcase",

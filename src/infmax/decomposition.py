@@ -223,30 +223,24 @@ def tree_from_nested(nested) -> HierarchyTree:
     """Build a tree from nested pairs of vertex ids, e.g. ((0, 1), 2).
 
     Node ids are assigned in preorder, so the first element of each pair
-    becomes the left child.
+    becomes the left child.  The walk keeps an explicit stack, so the nesting
+    depth is not bounded by Python's recursion limit.
     """
     parents: list[int] = []
     leaves: list[int] = []
-
-    def walk(spec, parent):
+    stack = [(nested, -1)]
+    while stack:
+        spec, parent = stack.pop()
         me = len(parents)
         parents.append(parent)
-        leaves.append(-1)
         if isinstance(spec, tuple):
             if len(spec) != 2:
                 raise ValueError("nested spec must use pairs")
-            walk(spec[0], me)
-            walk(spec[1], me)
+            leaves.append(-1)
+            stack += [(spec[1], me), (spec[0], me)]
         else:
-            leaves[me] = int(spec)
-        return me
-
-    walk(nested, -1)
+            leaves.append(int(spec))
     return HierarchyTree(parents, leaves)
-
-
-def _singleton_tree() -> HierarchyTree:
-    return HierarchyTree([-1], [0])
 
 
 class _Agglomerator:
@@ -271,8 +265,6 @@ class _Agglomerator:
 def build_random_pair(graph, seed: int) -> HierarchyTree:
     """Agglomerate by merging uniformly random partition pairs."""
     n = graph.n
-    if n == 1:
-        return _singleton_tree()
     asm = _Agglomerator(n)
     _merge_random_pairs(asm, list(range(n)), generator(DOMAIN_TREE_RANDOM_PAIR, seed))
     return asm.tree()
@@ -299,8 +291,6 @@ def build_random_edge(graph, seed: int) -> HierarchyTree:
     builder falls back to uniform random pair merges on the same stream.
     """
     n = graph.n
-    if n == 1:
-        return _singleton_tree()
     rng = generator(DOMAIN_TREE_RANDOM_EDGE, seed)
     asm = _Agglomerator(n)
     part_node = list(range(n))  # union-find root vertex -> partition tree node
@@ -344,8 +334,6 @@ def build_jaccard(graph) -> HierarchyTree:
     n = graph.n
     if n > _JACCARD_MAX_N:
         raise CapacityError(f"jaccard builder limited to n <= {_JACCARD_MAX_N}, got {n}")
-    if n == 1:
-        return _singleton_tree()
     asm = _Agglomerator(n)
 
     gamma = []
@@ -546,10 +534,15 @@ def read_tree(path) -> HierarchyTree:
         if n < 1:
             raise FormatError(f"{path}:1: leaf count must be positive")
         count = 2 * n - 1
+        # The node lines (and the one after them) are read before anything
+        # is allocated for them, so a header alone cannot ask for memory.
+        rows = [line for _, line in zip(range(count + 1), fh)]
+        if len(rows) < count:
+            raise FormatError(f"{path}: header promises {count} node lines, file holds {len(rows)}")
         parents = np.full(count, -2, dtype=np.int64)
         leaf_vertex = np.full(count, -1, dtype=np.int64)
-        for lineno in range(2, count + 2):
-            tokens = fh.readline().split()
+        for lineno, line in enumerate(rows[:count], start=2):
+            tokens = line.split()
             if len(tokens) != 3:
                 raise FormatError(f"{path}:{lineno}: expected three tokens")
             try:
@@ -562,6 +555,6 @@ def read_tree(path) -> HierarchyTree:
                 raise FormatError(f"{path}:{lineno}: duplicate node id {node}")
             parents[node] = par
             leaf_vertex[node] = lv
-        if fh.readline().strip():
+        if any(line.strip() for line in rows[count:]):
             raise FormatError(f"{path}: trailing content after {count} node lines")
     return HierarchyTree(parents, leaf_vertex)

@@ -5,7 +5,11 @@ a calls counter).  Comparisons run against a common-random-numbers oracle so
 argmaxes are noise-consistent; the sigma reported on the returned seed set
 always comes from fresh independent draws (or is exact).  oracle_calls on
 the result counts only the queries made while optimizing, not the final
-evaluation.
+evaluation.  Every argmax takes the first maximal candidate, so ties fall
+to the smallest id, share or subset.
+
+There is one tree dynamic program: dpim returns its root row, and the
+message passing schedule starts from the allocation table it fills.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ def _make_oracle(graph, model, cfg):
     if isinstance(cfg, (MonteCarloOracle, ExactOracle)):
         if cfg.graph is not graph:
             raise ConsistencyError("oracle was built for a different graph")
+        if cfg.model != model:
+            raise ConsistencyError(
+                f"oracle was built for model {cfg.model.spec}, not {model.spec}"
+            )
         return cfg
     if cfg == "exact":
         return ExactOracle(graph, model)
@@ -57,98 +65,95 @@ def _make_oracle(graph, model, cfg):
     raise ValueError(f"cfg must be an OracleConfig, an oracle, or 'exact'; got {cfg!r}")
 
 
-def _final_estimate(graph, model, oracle, seeds) -> SigmaEstimate:
+def _final_estimate(oracle, seeds) -> SigmaEstimate:
     """Influence of the final set under fresh draws (exact stays exact)."""
     if isinstance(oracle, ExactOracle):
         return SigmaEstimate(oracle.value(seeds), 0.0, 0)
     cfg = oracle.cfg
     fresh = MonteCarloOracle(
-        graph, model, OracleConfig(cfg.reps, cfg.master_seed, INDEPENDENT)
+        oracle.graph, oracle.model, OracleConfig(cfg.reps, cfg.master_seed, INDEPENDENT)
     )
     return fresh.sigma(seeds)
 
 
-def _check_k(graph, k: int) -> int:
+def _check(graph, k: int, tree: HierarchyTree | None = None) -> int:
+    """Validated k; the tree, when given, must have one leaf per vertex."""
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > graph.n:
         raise ValueError(f"k={k} exceeds vertex count {graph.n}")
+    if tree is not None and tree.n_leaves != graph.n:
+        raise ConsistencyError(
+            f"tree has {tree.n_leaves} leaves but graph has {graph.n} vertices"
+        )
     return k
+
+
+def _search(graph, model, k: int, cfg, search, tree: HierarchyTree | None = None) -> SeedSet:
+    """The one optimizer harness: validate, build the oracle, run
+    search(oracle, k) -> (seeds, history) and count its queries.
+
+    The final evaluation is uncounted, so greedy stays within n*k queries.
+    """
+    k = _check(graph, k, tree)
+    oracle = _make_oracle(graph, model, cfg)
+    start = oracle.calls
+    seeds, history = search(oracle, k)
+    calls = oracle.calls - start
+    return SeedSet(frozenset(seeds), _final_estimate(oracle, seeds), calls, history)
+
+
+def _best_split(oracle, ii: int, cap1: int, cap2: int, seeds_of) -> int:
+    """First share j of ii seeds (at most cap1 here, cap2 there) whose set
+    seeds_of(j) has the largest sigma; a forced split makes no query."""
+    shares = range(max(0, ii - cap2), min(ii, cap1) + 1)
+    if len(shares) == 1:
+        return shares[0]
+    return max(shares, key=lambda j: oracle.sigma(seeds_of(j)).mean)
 
 
 def greedy(graph, model, k: int, cfg) -> SeedSet:
     """k rounds of marginal argmax; ties fall to the smallest vertex id."""
-    k = _check_k(graph, k)
-    oracle = _make_oracle(graph, model, cfg)
-    start = oracle.calls
-    chosen: list[int] = []
-    members = set()
-    for _ in range(k):
-        best_v = -1
-        best_val = -math.inf
-        for v in range(graph.n):
-            if v in members:
-                continue
-            val = oracle.sigma(chosen + [v]).mean
-            if val > best_val:
-                best_val, best_v = val, v
-        chosen.append(best_v)
-        members.add(best_v)
-    calls = oracle.calls - start
-    # Final evaluation is uncounted: greedy stays within n*k queries.
-    final = _final_estimate(graph, model, oracle, chosen)
-    return SeedSet(frozenset(chosen), final, calls)
+
+    def search(oracle, k):
+        chosen: list[int] = []
+        for _ in range(k):
+            taken = set(chosen)
+            chosen.append(max(
+                (v for v in range(graph.n) if v not in taken),
+                key=lambda v: oracle.sigma(chosen + [v]).mean,
+            ))
+        return chosen, None
+
+    return _search(graph, model, k, cfg, search)
 
 
-def _check_tree(graph, tree: HierarchyTree) -> None:
-    if tree.n_leaves != graph.n:
-        raise ConsistencyError(
-            f"tree has {tree.n_leaves} leaves but graph has {graph.n} vertices"
-        )
+def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> dict[int, list[frozenset[int]]]:
+    """The bottom-up dynamic program: node -> [best seeds per budget].
 
-
-def _dpim_fill(oracle, tree: HierarchyTree, k: int) -> dict[int, list[frozenset[int]]]:
-    table: dict[int, list[frozenset[int]]] = {}
+    Entry [v][i] is the chosen i-subset of T(v); rows run up to
+    min(|T(v)|, k).  Every split chosen at an internal node is written into
+    table as its (L, R) advice; budgets past the subtree size get the
+    clamped split (size(L), size(R)).
+    """
+    rows: dict[int, list[frozenset[int]]] = {}
     for h in range(tree.tree_height + 1):
         for node in tree.nodes_at_height(h):
             node = int(node)
             if tree.is_leaf(node):
-                rows = [frozenset()]
-                if k >= 1:
-                    rows.append(frozenset((tree.leaf_vertex(node),)))
-                table[node] = rows
+                rows[node] = [frozenset(), frozenset((tree.leaf_vertex(node),))][: k + 1]
                 continue
-            vl, vr = tree.left(node), tree.right(node)
-            cap_l = min(tree.size(vl), k)
-            cap_r = min(tree.size(vr), k)
-            rows = []
-            for i in range(min(tree.size(node), k) + 1):
-                j_lo = max(0, i - cap_r)
-                j_hi = min(i, cap_l)
-                if j_lo == j_hi:
-                    rows.append(table[vl][j_lo] | table[vr][i - j_lo])
-                    continue
-                best_j = -1
-                best_val = -math.inf
-                for j in range(j_lo, j_hi + 1):
-                    val = oracle.sigma(table[vl][j] | table[vr][i - j]).mean
-                    if val > best_val:
-                        best_val, best_j = val, j
-                rows.append(table[vl][best_j] | table[vr][i - best_j])
-            table[node] = rows
-    return table
-
-
-def dpim_table(graph, tree: HierarchyTree, model, k: int, cfg) -> dict[int, list[frozenset[int]]]:
-    """The full dynamic-programming table: node -> [best seeds per budget].
-
-    Entry [v][i] is the chosen i-subset of T(v); rows run up to
-    min(|T(v)|, k).
-    """
-    k = _check_k(graph, k)
-    _check_tree(graph, tree)
-    return _dpim_fill(_make_oracle(graph, model, cfg), tree, k)
+            left, right = rows[tree.left(node)], rows[tree.right(node)]
+            cap_l, cap_r = len(left) - 1, len(right) - 1
+            row = rows[node] = []
+            for i in range(k + 1):
+                ii = min(i, cap_l + cap_r)
+                j = _best_split(oracle, ii, cap_l, cap_r, lambda j: left[j] | right[ii - j])
+                table.set(node, LR, i, j, ii - j)
+                if i == ii:
+                    row.append(left[j] | right[ii - j])
+    return rows
 
 
 def dpim(graph, tree: HierarchyTree, model, k: int, cfg) -> SeedSet:
@@ -157,15 +162,11 @@ def dpim(graph, tree: HierarchyTree, model, k: int, cfg) -> SeedSet:
     A[v, i] holds the best i seeds inside T(v); each internal row picks the
     left/right split maximizing global sigma, smallest split on ties.
     """
-    k = _check_k(graph, k)
-    _check_tree(graph, tree)
-    oracle = _make_oracle(graph, model, cfg)
-    start = oracle.calls
-    table = _dpim_fill(oracle, tree, k)
-    seeds = table[tree.root][k]
-    calls = oracle.calls - start
-    final = _final_estimate(graph, model, oracle, seeds)
-    return SeedSet(seeds, final, calls)
+
+    def search(oracle, k):
+        return _dp_fill(oracle, tree, k, AllocationTable(tree, k))[tree.root][k], None
+
+    return _search(graph, model, k, cfg, search, tree)
 
 
 class AllocationTable:
@@ -200,16 +201,15 @@ class AllocationTable:
 
 
 def _follow(tree: HierarchyTree, node: int, direction: str):
-    """Step one edge from node; returns (neighbor, pair excluding the way
-    back) or None when stepping U from the root."""
-    if direction == "L":
-        return tree.left(node), LR
-    if direction == "R":
-        return tree.right(node), LR
-    parent = tree.parent(node)
-    if parent < 0:
-        return None
-    return parent, (RU if tree.left(parent) == node else LU)
+    """Step one edge from node: (neighbor, pair excluding the way back,
+    leaves on that side).  Stepping U from the root finds no neighbor (-1)
+    and no leaves."""
+    if direction == "U":
+        parent = tree.parent(node)
+        pair = RU if parent >= 0 and tree.left(parent) == node else LU
+        return parent, pair, tree.n_leaves - tree.size(node)
+    child = tree.left(node) if direction == "L" else tree.right(node)
+    return child, LR, tree.size(child)
 
 
 def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair, ell: int) -> frozenset[int]:
@@ -237,58 +237,24 @@ def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair
         elif not tree.is_leaf(node):
             s1, s2 = table.get(node, dpair, ell)
             stack.append((child, LR, s1))
-            parent, pair = _follow(tree, node, "U")
+            parent, pair, _ = _follow(tree, node, "U")
             stack.append((parent, pair, s2))
     return frozenset(found)
 
 
-def _capacity(tree: HierarchyTree, node: int, direction: str) -> int:
-    if direction == "L":
-        return tree.size(tree.left(node))
-    if direction == "R":
-        return tree.size(tree.right(node))
-    return tree.n_leaves - tree.size(node)
+def _update(oracle, tree: HierarchyTree, k: int, table: AllocationTable, node: int, dpair) -> None:
+    (d3,) = {"L", "R", "U"} - set(dpair)
+    t1, t2, t3 = (_follow(tree, node, d) for d in (*dpair, d3))
+    cap1, cap2 = min(t1[2], k), min(t2[2], k)
 
+    def part(step, budget):
+        return retrieve_seeds(tree, table, step[0], step[1], budget) if budget > 0 else frozenset()
 
-def _update(oracle, tree: HierarchyTree, k: int, table: AllocationTable, node: int, dpair, with_context: bool = True) -> None:
-    d1, d2 = dpair
-    (d3,) = {"L", "R", "U"} - {d1, d2}
-    cap1 = min(_capacity(tree, node, d1), k)
-    cap2 = min(_capacity(tree, node, d2), k)
-    cap3 = min(_capacity(tree, node, d3), k) if with_context else 0
-    t1 = _follow(tree, node, d1)
-    t2 = _follow(tree, node, d2)
-    t3 = _follow(tree, node, d3)
     for i in range(k + 1):
-        b3 = min(k - i, cap3)
-        part3 = (
-            retrieve_seeds(tree, table, t3[0], t3[1], b3)
-            if t3 is not None and b3 > 0
-            else frozenset()
-        )
+        part3 = part(t3, min(k - i, t3[2]))
         ii = min(i, cap1 + cap2)
-        j_lo = max(0, ii - cap2)
-        j_hi = min(ii, cap1)
-        if j_lo == j_hi:
-            table.set(node, dpair, i, j_lo, ii - j_lo)
-            continue
-        best_j = -1
-        best_val = -math.inf
-        for j in range(j_lo, j_hi + 1):
-            part1 = (
-                retrieve_seeds(tree, table, t1[0], t1[1], j)
-                if t1 is not None and j > 0
-                else frozenset()
-            )
-            part2 = (
-                retrieve_seeds(tree, table, t2[0], t2[1], ii - j)
-                if t2 is not None and ii - j > 0
-                else frozenset()
-            )
-            val = oracle.sigma(part1 | part2 | part3).mean
-            if val > best_val:
-                best_val, best_j = val, j
-        table.set(node, dpair, i, best_j, ii - best_j)
+        j = _best_split(oracle, ii, cap1, cap2, lambda j: part(t1, j) | part(t2, ii - j) | part3)
+        table.set(node, dpair, i, j, ii - j)
 
 
 def mpa_update(graph, tree: HierarchyTree, model, k: int, cfg, table: AllocationTable, node: int, dpair) -> AllocationTable:
@@ -299,38 +265,25 @@ def mpa_update(graph, tree: HierarchyTree, model, k: int, cfg, table: Allocation
     between the pair's directions (capacity-clamped, smallest first share
     on ties).
     """
-    k = _check_k(graph, k)
-    _check_tree(graph, tree)
+    k = _check(graph, k, tree)
     dpair = tuple(dpair)
     if dpair not in DIRECTION_PAIRS:
         raise ValueError(f"bad direction pair {dpair!r}")
     if tree.is_leaf(node):
         raise ValueError("updates apply to internal nodes only")
-    oracle = _make_oracle(graph, model, cfg)
-    _update(oracle, tree, k, table, node, dpair)
+    _update(_make_oracle(graph, model, cfg), tree, k, table, node, dpair)
     return table
-
-
-def _init_sweep(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> None:
-    # Initialization matches the plain dynamic program exactly, so the
-    # outside-context term is suppressed here: through the root shortcut it
-    # would otherwise leak the first sibling's fresh rows into the second's.
-    for h in range(1, tree.tree_height + 1):
-        for node in tree.nodes_at_height(h):
-            _update(oracle, tree, k, table, int(node), LR, with_context=False)
 
 
 def mpa_init_table(graph, tree: HierarchyTree, model, k: int, cfg) -> AllocationTable:
     """Allocation table after the bottom-up initialization sweep.
 
-    Retrieving the root's (L, R) row from this table reproduces the plain
-    dynamic program's choice for every budget.
+    The sweep is the dynamic program of dpim, so retrieving the root's
+    (L, R) row from this table reproduces its choice for every budget.
     """
-    k = _check_k(graph, k)
-    _check_tree(graph, tree)
-    oracle = _make_oracle(graph, model, cfg)
+    k = _check(graph, k, tree)
     table = AllocationTable(tree, k)
-    _init_sweep(oracle, tree, k, table)
+    _dp_fill(_make_oracle(graph, model, cfg), tree, k, table)
     return table
 
 
@@ -343,39 +296,31 @@ def mpa(graph, tree: HierarchyTree, model, k: int, cfg, max_outer: int = 20) -> 
     draws, until no improvement or max_outer sweeps.  Returns the best
     accepted set.
     """
-    k = _check_k(graph, k)
-    _check_tree(graph, tree)
     if max_outer < 0:
         raise ValueError("max_outer must be nonnegative")
-    oracle = _make_oracle(graph, model, cfg)
-    start = oracle.calls
-    table = AllocationTable(tree, k)
-    heights_up = range(1, tree.tree_height + 1)
-    heights_down = range(tree.tree_height - 1, 0, -1)
 
-    _init_sweep(oracle, tree, k, table)
-    seeds = retrieve_seeds(tree, table, tree.root, LR, k)
-    current = oracle.sigma(seeds).mean
-    history = [current]
-
-    for _ in range(max_outer):
-        for h in heights_down:
-            for node in tree.nodes_at_height(h):
-                _update(oracle, tree, k, table, int(node), LU)
-                _update(oracle, tree, k, table, int(node), RU)
-        for h in heights_up:
-            for node in tree.nodes_at_height(h):
-                _update(oracle, tree, k, table, int(node), LR)
-        candidate = retrieve_seeds(tree, table, tree.root, LR, k)
-        value = oracle.sigma(candidate).mean
-        if value > current:
-            seeds, current = candidate, value
+    def search(oracle, k):
+        table = AllocationTable(tree, k)
+        _dp_fill(oracle, tree, k, table)
+        seeds = retrieve_seeds(tree, table, tree.root, LR, k)
+        history = [oracle.sigma(seeds).mean]
+        for _ in range(max_outer):
+            for h in range(tree.tree_height - 1, 0, -1):
+                for node in tree.nodes_at_height(h):
+                    _update(oracle, tree, k, table, int(node), LU)
+                    _update(oracle, tree, k, table, int(node), RU)
+            for h in range(1, tree.tree_height + 1):
+                for node in tree.nodes_at_height(h):
+                    _update(oracle, tree, k, table, int(node), LR)
+            candidate = retrieve_seeds(tree, table, tree.root, LR, k)
+            value = oracle.sigma(candidate).mean
+            if value <= history[-1]:
+                break
+            seeds = candidate
             history.append(value)
-        else:
-            break
-    calls = oracle.calls - start
-    final = _final_estimate(graph, model, oracle, seeds)
-    return SeedSet(seeds, final, calls, history=tuple(history))
+        return seeds, tuple(history)
+
+    return _search(graph, model, k, cfg, search, tree)
 
 
 _BRUTE_FORCE_LIMIT = 10**6
@@ -384,20 +329,13 @@ _BRUTE_FORCE_LIMIT = 10**6
 def brute_force(graph, model, k: int, cfg="exact") -> SeedSet:
     """Exhaustive optimum over all k-subsets (lexicographically smallest
     winner on ties); guarded by a subset-count budget."""
-    k = _check_k(graph, k)
-    sets = math.comb(graph.n, k)
+    sets = math.comb(graph.n, _check(graph, k))
     if sets > _BRUTE_FORCE_LIMIT:
         raise CapacityError(
             f"brute force over {sets} subsets exceeds {_BRUTE_FORCE_LIMIT}"
         )
-    oracle = _make_oracle(graph, model, cfg)
-    start = oracle.calls
-    best = None
-    best_val = -math.inf
-    for subset in combinations(range(graph.n), k):
-        val = oracle.sigma(subset).mean
-        if val > best_val:
-            best_val, best = val, subset
-    calls = oracle.calls - start
-    final = _final_estimate(graph, model, oracle, best)
-    return SeedSet(frozenset(best), final, calls)
+
+    def search(oracle, k):
+        return max(combinations(range(graph.n), k), key=lambda s: oracle.sigma(s).mean), None
+
+    return _search(graph, model, k, cfg, search)

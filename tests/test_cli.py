@@ -82,8 +82,9 @@ def test_missing_graph_is_exit_3(tmp_path, capsys):
 
 def test_malformed_tree_is_exit_3(triangle, tmp_path):
     bad = tmp_path / "bad.tree"
-    bad.write_text("hier v1 3\n0 -1 -1\n")
-    assert run("hiercost", "--graph", triangle, "--tree", bad) == 3
+    for text in ["hier v1 3\n0 -1 -1\n", f"hier v1 {2**62}\n"]:
+        bad.write_text(text)
+        assert run("hiercost", "--graph", triangle, "--tree", bad) == 3
 
 
 def test_mismatched_tree_is_exit_3(edge, triangle, tmp_path):

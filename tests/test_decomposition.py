@@ -58,6 +58,21 @@ def test_single_leaf_tree():
     assert tree.is_leaf(tree.root)
 
 
+def test_nested_deeper_than_recursion_limit():
+    # caterpillar (((0, 1), 2), ..., 1499): internal nodes 0..1498 down the
+    # spine in preorder, then leaf 0, then leaf v as the right child of 1499 - v
+    spec = 0
+    for v in range(1, 1500):
+        spec = (spec, v)
+    tree = tree_from_nested(spec)
+    _check_valid(tree, 1500)
+    assert tree.tree_height == 1499
+    assert tree.leaf_of_vertex(0) == 1499
+    for v in (1, 2, 1499):
+        assert tree.leaf_of_vertex(v) == 1499 + v
+        assert tree.parent(1499 + v) == 1499 - v
+
+
 def test_lca_and_sizes():
     tree = tree_from_nested((((0, 1), (2, 3)), (4, 5)))
     la = tree.leaf_of_vertex
@@ -113,6 +128,7 @@ def test_builders_handle_single_vertex(name):
     g = Graph(1, [])
     t = BUILDERS[name](g)
     assert t.n_leaves == 1
+    assert t == tree_from_nested(0)
 
 
 def test_random_builders_reproducible():
@@ -254,6 +270,15 @@ def test_read_rejects_wrong_line_count(tmp_path):
     p = tmp_path / "t.tree"
     p.write_text("hier v1 2\n0 -1 -1\n1 0 0\n")
     with pytest.raises(FormatError):
+        read_tree(p)
+
+
+def test_read_header_alone_allocates_nothing(tmp_path):
+    # 2n - 1 node lines of int64 would not fit any address space; the
+    # missing node lines are reported before anything is allocated
+    p = tmp_path / "t.tree"
+    p.write_text(f"hier v1 {2**62}\n")
+    with pytest.raises(FormatError, match="node lines"):
         read_tree(p)
 
 

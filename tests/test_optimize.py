@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -15,8 +16,10 @@ from infmax import (
     OracleConfig,
     brute_force,
     build_bisection,
+    build_jaccard,
+    build_random_edge,
+    build_random_pair,
     dpim,
-    dpim_table,
     gen_gnm,
     gen_worstcase,
     greedy,
@@ -78,29 +81,48 @@ def test_greedy_mc_final_estimate_is_fresh():
     assert res.sigma.reps == 200
 
 
+def test_oracle_for_another_model_rejected():
+    # the search must run under the model the result reports
+    g = gen_gnm(8, 12, seed=3)
+    tree = build_bisection(g, 1)
+    icm, ltm = CascadeModel.icm(0.3), CascadeModel.ltm()
+    for oracle in (MonteCarloOracle(g, icm, OracleConfig(20, 1)), ExactOracle(g, icm)):
+        with pytest.raises(ConsistencyError):
+            greedy(g, ltm, 2, oracle)
+        with pytest.raises(ConsistencyError):
+            dpim(g, tree, ltm, 2, oracle)
+        with pytest.raises(ConsistencyError):
+            mpa(g, tree, ltm, 2, oracle)
+        # an equal model built separately is the same model
+        assert greedy(g, CascadeModel.icm(0.3), 2, oracle).oracle_calls == 8 + 7
+
+
 # ---------------------------------------------------------------- dpim
 
 
-def test_dpim_table_leaf_rows():
+def test_init_table_leaf_rows():
     g = Graph(2, [(0, 1)])
     tree = tree_from_nested((0, 1))
-    table = dpim_table(g, tree, CascadeModel.icm(0.5), 1, "exact")
+    table = mpa_init_table(g, tree, CascadeModel.icm(0.5), 1, "exact")
     leaf0 = tree.leaf_of_vertex(0)
-    assert table[leaf0][0] == frozenset()
-    assert table[leaf0][1] == {0}
-    assert table[tree.root][1] in ({0}, {1})
+    assert retrieve_seeds(tree, table, leaf0, ("L", "R"), 0) == frozenset()
+    assert retrieve_seeds(tree, table, leaf0, ("L", "R"), 1) == {0}
+    assert retrieve_seeds(tree, table, tree.root, ("L", "R"), 1) in ({0}, {1})
 
 
-def test_dpim_table_rows_stay_in_subtree():
+def test_init_table_rows_stay_in_subtree():
+    # the (L, R) row of every node and budget is the DP's i-subset of T(v),
+    # capped at the subtree size
     g = gen_gnm(8, 14, seed=3)
     tree = build_bisection(g, 1)
-    table = dpim_table(g, tree, CascadeModel.icm(0.3), 3, "exact")
-    for node, rows in table.items():
+    k = 3
+    table = mpa_init_table(g, tree, CascadeModel.icm(0.3), k, "exact")
+    for node in range(tree.node_count):
         leaves = tree.leaf_set(node)
-        for i, chosen in enumerate(rows):
-            assert len(chosen) == i
+        for i in range(k + 1):
+            chosen = retrieve_seeds(tree, table, node, ("L", "R"), i)
+            assert len(chosen) == min(i, len(leaves))
             assert chosen <= leaves
-        assert len(rows) == min(len(leaves), 3) + 1
 
 
 def test_dpim_matches_brute_on_disjoint_edges():
@@ -362,3 +384,44 @@ def test_worstcase_separation_exact():
     bf = brute_force(inst.graph, inst.model, 2, "exact")
     assert bf.vertices == {0, 1}
     assert bf.sigma.mean == 5.0
+
+
+# ---------------------------------------------------------------- pinned bytes
+
+
+def _optimizer_dump():
+    """One line per optimizer run: seeds, sigma repr, oracle calls, history,
+    plus every entry of the initial MPA allocation table."""
+    models = [
+        CascadeModel.icm(0.3), CascadeModel.dicm(0.3, 0.5), CascadeModel.ltm(),
+        CascadeModel.scm(), CascadeModel.twostep(0.2),
+    ]
+    lines = []
+    for g in (gen_gnm(9, 12, seed=5), gen_gnm(8, 5, seed=2)):
+        trees = [build_bisection(g, 1), build_random_pair(g, 2),
+                 build_random_edge(g, 3), build_jaccard(g)]
+        for model, cfg, k in itertools.product(models, (OracleConfig(16, 7), "exact"), (0, 1, 3)):
+            runs = [greedy(g, model, k, cfg), brute_force(g, model, k, cfg)]
+            for tree in trees:
+                runs.append(dpim(g, tree, model, k, cfg))
+                runs += [mpa(g, tree, model, k, cfg, max_outer=m) for m in (0, 1, 3)]
+                table = mpa_init_table(g, tree, model, k, cfg)
+                lines.append(repr([
+                    table.get(v, pair, i) for v in range(tree.node_count)
+                    for pair in (("L", "R"), ("L", "U"), ("R", "U")) for i in range(k + 1)
+                ]))
+            lines += [
+                f"{sorted(r.vertices)} {r.sigma!r} {r.oracle_calls} {r.history}" for r in runs
+            ]
+    return "\n".join(lines)
+
+
+def test_optimizers_pinned():
+    # Recorded before the optimizers shared one search core: any change of
+    # seeds, sigma bytes, query counts, MPA histories or initial tables
+    # across commits fails here.
+    digest = hashlib.sha256(_optimizer_dump().encode()).hexdigest()
+    assert digest == _OPTIMIZER_PIN
+
+
+_OPTIMIZER_PIN = "0e6215f5eb6e7cae49702fe7ceca5c27ff7be52d25e23c494a4cb498a8934127"
