@@ -6,7 +6,13 @@ infected in the round after f_v(|infected neighbors|, deg(v)) >= theta_v
 first holds.  Because every f here depends on the neighbor set only through
 its size, a threshold draw is equivalent to drawing a count class
 K_v = min{c : f(c) >= theta_v}: v activates once it has K_v infected
-neighbors.  Both oracles work in count-class space.  With the classes fixed,
+neighbors.  Thresholds map to count classes through a bucket table: for
+B = 1024 buckets of width 1/B and each degree, the table holds how many f
+values lie below each bucket edge, so a threshold's bucket fixes K_v unless
+the bucket also holds an f value, and a bisection of those few values
+settles the rest.  f * B and theta * B are exact, so K_v is exactly
+searchsorted(f_table(d), theta_v) (see _count_classes).  Both oracles work
+in count-class space.  With the classes fixed,
 a cascade is a monotone closure, so the infected set does not depend on how
 a round is computed: the Monte Carlo kernel pushes only the newly infected
 frontier of all repetitions at once along the raw CSR arrays, and exact
@@ -190,18 +196,78 @@ class SigmaEstimate:
     reps: int
 
 
-def _count_classes(model: CascadeModel, degrees: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Map thresholds to activation count classes.
+# Buckets per unit threshold (a power of two, so theta * _BUCKETS is exact),
+# and entries per block of whole repetitions that _count_classes maps at a
+# time, so its temporaries stay small whatever reps * nc is.
+_BUCKETS = 2**10
+_CLASS_BLOCK = 2**15
+
+
+def _count_classes(model: CascadeModel, degrees: np.ndarray, theta: np.ndarray, cols=None) -> np.ndarray:
+    """Map thresholds theta[..., cols] (all columns if cols is None) to count classes.
 
     Entry K satisfies: activate exactly when the infected-neighbor count
-    reaches K.  theta in (0, 1] gives K in [1, d+1]; K = d+1 never fires.
+    reaches K.  K = #{c : f(c) < theta}, which is
+    searchsorted(f_table(d), theta, side="left") bit for bit; degrees are
+    those of the selected columns.  theta in (0, 1] gives K in [1, d+1] and
+    K = d+1 never fires; theta = 0 gives K = 0.
+
+    The bucket rule, with B = _BUCKETS: below[d][b] = #{c : f(c) < b/B}.
+    Since f(c) * B is exact and b an integer, f(c) < b/B holds exactly when
+    floor(f(c) * B) + 1 <= b, so one bincount and one cumsum build every
+    row.  f_table(d) is nondecreasing, so a threshold in bucket
+    b = floor(theta * B) has K in [below[d][b], below[d][b+1]]; theta = 1
+    falls in bucket B, so a row needs B + 2 columns.  When the two ends are
+    equal K is that value.  Otherwise a bisection of the table between
+    them compares f(c) * B with theta * B, both exact, so it makes the same
+    < comparisons as searchsorted.
     """
-    K = np.empty(theta.shape, dtype=np.int32)
-    for d in np.unique(degrees):
-        cols = np.flatnonzero(degrees == d)
-        table = model.f_table(int(d))
-        K[..., cols] = np.searchsorted(table, theta[..., cols], side="left").astype(np.int32)
-    return K
+    uniq, row = np.unique(degrees, return_inverse=True)
+    tables = [model.f_table(int(d)) for d in uniq]
+    sizes = np.array([t.size for t in tables], dtype=np.intp)
+    # f * B for every table, end to end, plus one entry that a finished
+    # bisection may read but never uses.
+    scaled = np.concatenate([*tables, [np.inf]]) * _BUCKETS
+    width = _BUCKETS + 2
+    edges = scaled[:-1].astype(np.intp) + 1
+    edges += np.repeat(np.arange(uniq.size) * width, sizes)
+    code = np.bincount(edges, minlength=uniq.size * width).reshape(uniq.size, width)
+    code = code.cumsum(axis=1, dtype=np.int32)
+    # code[d][b] is below[d][b], or its complement ~below[d][b] (negative)
+    # when bucket b holds a table entry.
+    np.invert(code[:, :-1], out=code[:, :-1], where=code[:, :-1] != code[:, 1:])
+    code = code.ravel()
+    row_base = row * width
+    row_start = (np.cumsum(sizes) - sizes)[row]
+
+    rows = np.atleast_2d(theta)
+    if cols is None:
+        cols = np.arange(rows.shape[1])
+    ncols = row_base.size
+    K = np.empty((rows.shape[0], ncols), dtype=np.int32)
+    step = max(1, _CLASS_BLOCK // max(ncols, 1))
+    for r0 in range(0, rows.shape[0], step):
+        th = np.take(rows[r0 : r0 + step], cols, axis=1)
+        th *= _BUCKETS
+        bucket = th.astype(np.intp)
+        bucket += row_base
+        block = K[r0 : r0 + step]
+        # Every index is in range; mode "raise" would buffer the output.
+        np.take(code, bucket, out=block, mode="clip")
+        split = np.flatnonzero(block < 0)
+        if split.size:
+            lo = ~block.ravel()[split]
+            hi = code[bucket.ravel()[split] + 1]
+            hi = np.where(hi < 0, ~hi, hi)
+            base = row_start[split % ncols]
+            th = th.ravel()[split]
+            for _ in range(int((hi - lo).max()).bit_length()):
+                mid = (lo + hi) >> 1
+                go = (mid < hi) & (scaled[base + mid] < th)
+                lo = np.where(go, mid + 1, lo)
+                hi = np.where(go, hi, mid)
+            block.ravel()[split] = lo
+    return K.reshape(theta.shape[:-1] + (ncols,))
 
 
 def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
@@ -215,7 +281,8 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
     theta = np.asarray(thresholds, dtype=np.float64)
     if theta.shape != (n,):
         raise ValueError(f"need one threshold per vertex, got shape {theta.shape}")
-    if theta.size and (theta.min() < 0.0 or theta.max() > 1.0):
+    # NaN fails this test, as it would pass a min/max range check.
+    if not ((theta >= 0.0) & (theta <= 1.0)).all():
         raise ValueError("thresholds must lie in [0, 1]")
     seed_list = sorted({int(v) for v in seeds})
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= n):
@@ -294,6 +361,13 @@ def _closure(indptr, indices, K, seed_cols) -> np.ndarray:
     return infected.reshape(reps, nc)
 
 
+def _draw_thresholds(rng, shape) -> np.ndarray:
+    """Thresholds uniform on (0, 1]: 1 - u in place, the same bits as 1.0 - u."""
+    u = rng.random(shape)
+    np.subtract(1.0, u, out=u)
+    return u
+
+
 class MonteCarloOracle:
     """Monte Carlo sigma(S) with shared threshold draws and result caching.
 
@@ -314,8 +388,7 @@ class MonteCarloOracle:
         self._crn_classes: dict[int, np.ndarray] = {}
         self._memo: dict[tuple, np.ndarray] = {}
         if cfg.mode == CRN:
-            rng = generator(DOMAIN_CRN, cfg.master_seed)
-            self._theta = 1.0 - rng.random((cfg.reps, graph.n))
+            self._theta = _draw_thresholds(generator(DOMAIN_CRN, cfg.master_seed), (cfg.reps, graph.n))
         else:
             self._theta = None
 
@@ -325,7 +398,7 @@ class MonteCarloOracle:
 
     def _classes(self, ci: int, theta: np.ndarray) -> np.ndarray:
         index = self._index
-        return _count_classes(self.model, index.degrees[ci], theta[:, index.members[ci]])
+        return _count_classes(self.model, index.degrees[ci], theta, index.members[ci])
 
     def _batch_sim(self, ci: int, K, seed_cols) -> np.ndarray:
         """Infected count per repetition for one component, one seed set."""
@@ -357,7 +430,7 @@ class MonteCarloOracle:
             members = self._index.members
             digest = seeds_digest(members[ci][c] for ci, cols in groups for c in cols)
             rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, digest)
-            theta = 1.0 - rng.random((reps, self.graph.n))
+            theta = _draw_thresholds(rng, (reps, self.graph.n))
             for ci, cols in groups:
                 totals += self._batch_sim(ci, self._classes(ci, theta), cols)
         mean = float(totals.mean())

@@ -104,10 +104,14 @@ def _search(graph, model, k: int, cfg, search, tree: HierarchyTree | None = None
     return SeedSet(frozenset(seeds), _final_estimate(oracle, seeds), calls, history)
 
 
-def _best_split(oracle, ii: int, cap1: int, cap2: int, seeds_of) -> int:
-    """First share j of ii seeds (at most cap1 here, cap2 there) whose set
-    seeds_of(j) has the largest sigma; a forced split makes no query."""
-    shares = range(max(0, ii - cap2), min(ii, cap1) + 1)
+def _shares(ii: int, cap1: int, cap2: int) -> range:
+    """The shares j of ii seeds with at most cap1 here and cap2 there."""
+    return range(max(0, ii - cap2), min(ii, cap1) + 1)
+
+
+def _best_split(oracle, shares: range, seeds_of) -> int:
+    """First share j whose set seeds_of(j) has the largest sigma; a forced
+    split (one share) makes no query."""
     if len(shares) == 1:
         return shares[0]
     return max(shares, key=lambda j: oracle.sigma(seeds_of(j)).mean)
@@ -149,7 +153,7 @@ def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> dic
             row = rows[node] = []
             for i in range(k + 1):
                 ii = min(i, cap_l + cap_r)
-                j = _best_split(oracle, ii, cap_l, cap_r, lambda j: left[j] | right[ii - j])
+                j = _best_split(oracle, _shares(ii, cap_l, cap_r), lambda j: left[j] | right[ii - j])
                 table.set(node, LR, i, j, ii - j)
                 if i == ii:
                     row.append(left[j] | right[ii - j])
@@ -251,9 +255,11 @@ def _update(oracle, tree: HierarchyTree, k: int, table: AllocationTable, node: i
         return retrieve_seeds(tree, table, step[0], step[1], budget) if budget > 0 else frozenset()
 
     for i in range(k + 1):
-        part3 = part(t3, min(k - i, t3[2]))
         ii = min(i, cap1 + cap2)
-        j = _best_split(oracle, ii, cap1, cap2, lambda j: part(t1, j) | part(t2, ii - j) | part3)
+        shares = _shares(ii, cap1, cap2)
+        # A forced split makes no query, so it needs no third-direction seeds.
+        part3 = part(t3, min(k - i, t3[2])) if len(shares) > 1 else frozenset()
+        j = _best_split(oracle, shares, lambda j: part(t1, j) | part(t2, ii - j) | part3)
         table.set(node, dpair, i, j, ii - j)
 
 

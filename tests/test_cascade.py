@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -180,6 +181,12 @@ def test_simulate_validates_inputs():
         simulate_cascade(g, m, {0}, np.array([0.5, 1.5]))
 
 
+def test_simulate_rejects_nan_thresholds():
+    # NaN compares false both ways, so a min/max range check lets it through
+    with pytest.raises(ValueError):
+        simulate_cascade(gen_gnm(5, 4, seed=1), CascadeModel.icm(0.5), [0], [math.nan] * 5)
+
+
 def test_simulate_zero_threshold_fires_unprompted():
     # theta = 0 means K = 0: vertex 1 joins in round 1 with no infected
     # neighbor and passes the cascade on to 2 but not to 0, whose threshold
@@ -210,6 +217,93 @@ def test_simulate_idempotent(ts):
     m = CascadeModel.icm(0.6)
     out = simulate_cascade(g, m, {1, 2}, theta)
     assert simulate_cascade(g, m, out, theta) == out
+
+
+# ---------------------------------------------------------------- count classes
+
+
+def _reference_classes(model, degrees, theta):
+    # the definition: one searchsorted per column against its own table
+    K = np.empty(theta.shape, dtype=np.int32)
+    for col, d in enumerate(degrees):
+        K[..., col] = np.searchsorted(model.f_table(int(d)), theta[..., col], side="left")
+    return K
+
+
+# Degenerate models repeat table values (icm p = 0 or 1, dicm q = 0,
+# twostep eps = 0 or 1); icm p = 1/2 and ltm at d = 1024 put table values on
+# bucket edges; ltm and scm past the bucket count put several table values in
+# one bucket, so the bisection takes several steps.
+_CLASS_MODELS = [
+    *ALL_MODELS,
+    CascadeModel.icm(0.0),
+    CascadeModel.icm(0.5),
+    CascadeModel.icm(1.0),
+    CascadeModel.dicm(0.3, 0.0),
+    CascadeModel.twostep(0.0),
+    CascadeModel.twostep(1.0),
+]
+_CLASS_DEGREES = [0, 1, 2, 3, 9, 69, 1023, 1024, 1025, 5000]
+
+
+@st.composite
+def _class_cases(draw):
+    model = draw(st.sampled_from(_CLASS_MODELS))
+    degrees = draw(st.lists(st.sampled_from(_CLASS_DEGREES), min_size=1, max_size=5))
+    one_d = draw(st.booleans())
+    reps = 1 if one_d else draw(st.integers(1, 5))
+    buckets = cascade._BUCKETS
+    theta = np.full((reps, len(degrees) + draw(st.integers(0, 2))), np.nan)
+    cols = np.array(draw(st.permutations(range(theta.shape[1])))[: len(degrees)])
+    for col, d in zip(cols, degrees):
+        table = model.f_table(d).tolist()
+        # theta = 0 only reaches the 1-D path, through simulate_cascade
+        value = st.one_of(
+            st.sampled_from(table),
+            st.sampled_from(table).map(lambda t: float(np.nextafter(t, 2.0))),
+            st.integers(0, buckets).map(lambda b: b / buckets),
+            st.just(1.0),
+            st.floats(0.0, 1.0, exclude_min=not one_d),
+        )
+        theta[:, col] = draw(st.lists(value, min_size=reps, max_size=reps))
+    if one_d:
+        theta = theta[0]
+    # unselected columns stay NaN: reading one would break the comparison
+    return model, np.array(degrees), theta, cols
+
+
+@pytest.mark.parametrize("block", [1, 7, cascade._CLASS_BLOCK])
+@given(case=_class_cases())
+@example(case=(CascadeModel.ltm(), np.array([5000]), np.array([[0.5001], [1.0]]), np.array([0])))
+@example(case=(CascadeModel.scm(), np.array([5000, 0]), np.array([0.0, 0.0]), np.array([0, 1])))
+@settings(max_examples=150, deadline=None)
+def test_count_classes_match_searchsorted(block, case):
+    # a block of 1 or 7 entries maps one row at a time, or leaves a ragged
+    # last block
+    model, degrees, theta, cols = case
+    with mock.patch.object(cascade, "_CLASS_BLOCK", block):
+        K = cascade._count_classes(model, degrees, theta, cols)
+    expected = _reference_classes(model, degrees, theta[..., cols])
+    assert K.dtype == np.int32 and K.shape == expected.shape
+    assert np.array_equal(K, expected)
+
+
+def test_count_classes_memory_is_bounded():
+    # the mapping works in blocks of whole repetitions, so beyond K itself
+    # its peak holds one block's temporaries, the per-column arrays and the
+    # bucket table (about 1.2 MB here), however many repetitions there are
+    rng = np.random.default_rng(3)
+    degrees = rng.poisson(10, size=10**4)
+    model = CascadeModel.icm(0.1)
+    for reps in (50, 200):
+        theta = 1.0 - rng.random((reps, degrees.size))
+        tracemalloc.start()
+        try:
+            K = cascade._count_classes(model, degrees, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - K.nbytes < 2 * 2**20, reps
 
 
 # ---------------------------------------------------------------- kernel
