@@ -451,10 +451,11 @@ class ExactOracle:
     cascade symbolically per connected component: activations forced by
     already-revealed information are applied outright, vertices whose
     neighbors are all infected are marginalized in closed form (their
-    activation cannot influence anyone else), and otherwise the recursion
+    activation cannot influence anyone else), and otherwise the walk
     branches on whether the smallest undecided vertex activates at its
-    current count.  States are memoized; the explored-state budget guards
-    against exponential blowups and raises CapacityError when exceeded.
+    current count, activating branch first, on an explicit stack.  States
+    are memoized; the explored-state budget guards against exponential
+    blowups and raises CapacityError when exceeded.
 
     calls counts every sigma()/value() invocation, cache hits included.
     """
@@ -467,15 +468,15 @@ class ExactOracle:
         self._states = 0
         self._index = index = graph._component_index()
         # Per component: neighbor bitmasks over local columns, degrees and
-        # f tables of its vertices.
+        # f tables of its vertices (one shared list per distinct degree).
+        by_degree = {d: model.f_table(d).tolist() for d in set(graph.degrees.tolist())}
         self._comp_local: list[tuple] = []
         self._result_memo: dict[tuple, float] = {}
         self._state_memos: list[dict] = []
         for indptr, indices, degrees in zip(index.indptr, index.indices, index.degrees):
             bounds, cols, degs = indptr.tolist(), indices.tolist(), tuple(degrees.tolist())
             masks = tuple(sum(1 << c for c in cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-            tables = tuple(tuple(model.f_table(d)) for d in degs)
-            self._comp_local.append((masks, degs, tables))
+            self._comp_local.append((masks, degs, tuple(by_degree[d] for d in degs)))
             self._state_memos.append({})
 
     def value(self, seeds) -> float:
@@ -496,78 +497,67 @@ class ExactOracle:
         masks, degs, tables = self._comp_local[ci]
         nc = len(masks)
         memo = self._state_memos[ci]
-
-        def g(I: int, surv: tuple) -> float:
-            key = (I, surv)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            self._states += 1
-            if self._states > self.budget:
-                raise CapacityError(
-                    f"exact oracle exceeded {self.budget} explored states"
-                )
-            slist = list(surv)
-            # Settle forced outcomes: certain activations may cascade, and
-            # zero-probability steps just raise the survived count.
-            changed = True
-            while changed:
-                changed = False
-                for v in range(nc):
-                    if I >> v & 1:
-                        continue
-                    c = (I & masks[v]).bit_count()
-                    s = slist[v]
-                    if c <= s:
-                        continue
-                    table = tables[v]
-                    fs = table[s]
-                    p = (table[c] - fs) / (1.0 - fs)
-                    if p >= 1.0:
-                        I |= 1 << v
-                        changed = True
-                    elif p <= 0.0:
-                        slist[v] = c
-                        changed = True
-            credits = []
-            branch_v = -1
-            branch_c = 0
-            branch_p = 0.0
-            for v in range(nc):
-                if I >> v & 1:
+        # A depth-first walk.  todo holds state keys (infected mask, survived
+        # counts) still to value, and branch points (key, gain, p), each
+        # pushed below its "no" key and then its "yes" key; once both are
+        # valued, their values are the last two on vals.
+        todo = [(sum(1 << c for c in seed_cols), (0,) * nc)]
+        vals = []
+        while todo:
+            key = todo.pop()
+            if len(key) == 3:
+                key, gain, p = key
+                no = vals.pop()
+                val = memo[key] = gain + p * vals.pop() + (1.0 - p) * no
+            elif (val := memo.get(key)) is None:
+                self._states += 1
+                if self._states > self.budget:
+                    raise CapacityError(f"exact oracle exceeded {self.budget} explored states")
+                I, slist = key[0], list(key[1])
+                # Scan until a scan changes nothing: certain activations may
+                # cascade, and zero-probability steps just raise the
+                # survived count.  The last scan also credits each vertex
+                # whose neighbors are all infected (its fate affects nobody,
+                # so take its activation probability directly) and picks the
+                # first vertex left to branch on.
+                changed = True
+                while changed:
+                    changed, credits, branch = False, {}, None
+                    for v in range(nc):
+                        if I >> v & 1:
+                            continue
+                        c = (I & masks[v]).bit_count()
+                        s = slist[v]
+                        if c <= s:
+                            continue
+                        table = tables[v]
+                        fs = table[s]
+                        p = (table[c] - fs) / (1.0 - fs)
+                        if p >= 1.0:
+                            I |= 1 << v
+                            changed = True
+                        elif p <= 0.0:
+                            slist[v] = c
+                            changed = True
+                        elif c == degs[v]:
+                            credits[v] = p
+                        elif branch is None:
+                            branch = (v, c, p)
+                # Credited only now: a credit taken during a scan that
+                # changed something would be lost on the rescan.
+                for v in credits:
+                    slist[v] = degs[v]
+                gain = math.fsum(credits.values())
+                if branch is not None:
+                    v, c, p = branch
+                    surv = list(slist)
+                    surv[v] = c
+                    slist[v] = 0
+                    todo += [(key, gain, p), (I, tuple(surv)), (I | 1 << v, tuple(slist))]
                     continue
-                c = (I & masks[v]).bit_count()
-                s = slist[v]
-                if c <= s:
-                    continue
-                table = tables[v]
-                fs = table[s]
-                p = (table[c] - fs) / (1.0 - fs)
-                if c == degs[v]:
-                    # All of v's neighbors are infected: v's fate affects
-                    # nobody, so take its activation probability directly.
-                    credits.append(p)
-                    slist[v] = c
-                elif branch_v < 0:
-                    branch_v, branch_c, branch_p = v, c, p
-            gain = math.fsum(credits)
-            if branch_v < 0:
-                val = float(I.bit_count()) + gain
-            else:
-                surv_no = list(slist)
-                surv_no[branch_v] = branch_c
-                surv_yes = list(slist)
-                surv_yes[branch_v] = 0
-                val = gain + branch_p * g(I | 1 << branch_v, tuple(surv_yes)) + (
-                    1.0 - branch_p
-                ) * g(I, tuple(surv_no))
-            memo[key] = val
-            return val
-
-        I0 = 0
-        for col in seed_cols:
-            I0 |= 1 << col
-        return g(I0, tuple(0 for _ in range(nc)))
+                val = memo[key] = float(I.bit_count()) + gain
+            vals.append(val)
+        return vals[0]
 
 
 def sigma_exact(graph, model: CascadeModel, seeds, budget: int = 10_000_000) -> float:

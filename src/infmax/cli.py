@@ -13,6 +13,7 @@ import csv
 import io
 import multiprocessing
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -196,12 +197,13 @@ def parse_bench_config(path) -> BenchConfig:
     Required keys: graph, cascade, algorithms, k, reps, master_seed,
     output.  Optional: tree, trials (1), max_outer (20), timing (none).
     Multiple cascades are separated by ';' (model params contain commas).
+    A '#' at the start of a line or after whitespace starts a comment.
     """
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+            if not stripped:
                 continue
             key, eq, val = stripped.partition("=")
             if not eq:

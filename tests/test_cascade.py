@@ -1,5 +1,9 @@
+import gc
+import hashlib
+import itertools
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -18,6 +22,7 @@ from infmax import (
     MonteCarloOracle,
     OracleConfig,
     gen_gnm,
+    gen_worstcase,
     local_influence,
     parse_model,
     sigma_exact,
@@ -437,6 +442,92 @@ def test_exact_budget_guard():
     g = gen_gnm(24, 60, seed=3)
     with pytest.raises(CapacityError):
         sigma_exact(g, CascadeModel.icm(0.5), [0], budget=10)
+
+
+def test_exact_long_path_has_no_depth_limit():
+    # one branch point per path vertex, far deeper than Python's recursion
+    # limit; the value is 1 + 1/2 + 1/4 + ... rounded to 2.0
+    g = Graph(1500, [(i, i + 1) for i in range(1499)])
+    assert sigma_exact(g, CascadeModel.icm(0.5), [0]) == 2.0
+
+
+def test_exact_oracle_freed_without_cycle_collector():
+    g = gen_gnm(7, 10, seed=1)
+    gc.disable()
+    try:
+        oracle = ExactOracle(g, CascadeModel.icm(0.5))
+        oracle.value([0])
+        ref = weakref.ref(oracle)
+        del oracle
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _enumerated_sigma(g, model, seeds):
+    """Expected infected count as a sum over every count-class assignment:
+    K_v = c for c = 1..d with probability f(c) - f(c-1), and K_v = d + 1
+    (never) with probability 1 - f(d)."""
+    nbrs = [g.neighbors(v).tolist() for v in range(g.n)]
+    laws = []
+    for v in range(g.n):
+        f = [*model.f_table(len(nbrs[v])).tolist(), 1.0]
+        laws.append([(c, f[c] - f[c - 1]) for c in range(1, len(f))])
+    total = 0.0
+    for draw in itertools.product(*laws):
+        infected = set(seeds)
+        grew = True
+        while grew:
+            grew = False
+            for v in range(g.n):
+                if v not in infected and sum(u in infected for u in nbrs[v]) >= draw[v][0]:
+                    infected.add(v)
+                    grew = True
+        total += math.prod(w for _, w in draw) * len(infected)
+    return total
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
+def test_exact_matches_enumeration(model):
+    graphs = [
+        Graph(6, [(i, i + 1) for i in range(5)]),
+        Graph(6, [(0, i) for i in range(1, 6)]),
+        Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]),
+        Graph(5, [(0, 1), (1, 2), (3, 4)]),
+        gen_gnm(6, 9, seed=4),
+        gen_gnm(5, 6, seed=9),
+    ]
+    for g in graphs:
+        for seeds in ([0], [1, 3], [0, 2, 4]):
+            expected = _enumerated_sigma(g, model, seeds)
+            assert sigma_exact(g, model, seeds) == pytest.approx(expected, rel=1e-12)
+
+
+def _exact_dump():
+    """One line per query: the value's repr and the oracle's explored-state
+    count so far (the memo carries over between queries)."""
+    lines = []
+    for g in (gen_gnm(7, 10, seed=1), gen_gnm(10, 20, seed=3), gen_worstcase(3).graph):
+        for model in ALL_MODELS:
+            oracle = ExactOracle(g, model)
+            for seeds in ([], [0], [g.n - 1], [0, 4], [1, 2, 3], [0]):
+                lines.append(f"{oracle.value(seeds)!r} {oracle._states}")
+    return "\n".join(lines)
+
+
+def test_sigma_exact_pinned():
+    # Recorded with the recursive exact oracle: a change of any value's
+    # bytes, of the explored-state counts or of where the budget trips
+    # fails here.
+    digest = hashlib.sha256(_exact_dump().encode()).hexdigest()
+    assert digest == _EXACT_PIN
+    g, model = gen_gnm(12, 24, seed=4), CascadeModel.icm(0.5)
+    assert repr(sigma_exact(g, model, [0], budget=3510)) == "9.295737743377686"
+    with pytest.raises(CapacityError, match="3509 explored states"):
+        sigma_exact(g, model, [0], budget=3509)
+
+
+_EXACT_PIN = "0cc435ec3bbc6d526756a37c8c32df503a71045464350891901b01abf6c188cb"
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,17 @@ def test_sigma_exact_edge(edge, tmp_path, capsys):
              "--seeds", seeds, "--exact")
     assert rc == 0
     assert capsys.readouterr().out.split() == ["1.5", "0.0"]
+
+
+def test_sigma_exact_long_path(tmp_path, capsys):
+    graph = tmp_path / "path.txt"
+    graph.write_text("".join(f"{i} {i + 1}\n" for i in range(1499)))
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("0\n")
+    rc = run("sigma", "--graph", graph, "--cascade", "icm:p=0.5",
+             "--seeds", seeds, "--exact")
+    assert rc == 0
+    assert capsys.readouterr().out.split() == ["2.0", "0.0"]
 
 
 def test_sigma_mc_deterministic(triangle, tmp_path, capsys):
@@ -307,6 +319,22 @@ def test_bench_config_parses_defaults(tmp_path):
     assert parsed.timing == "none"
     assert parsed.algorithms == ("greedy", "dpim")
     assert parsed.ks == (1, 2)
+
+
+def test_bench_config_readme_example(tmp_path):
+    # the README's example config, trailing comments included
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(block)
+    parsed = parse_bench_config(cfg)
+    assert parsed.graph_source == "gnm:n=1000,m=5000,seed=3"
+    assert parsed.tree_source == "bisection"
+    assert parsed.cascades == ("icm:p=0.1", "dicm:p=0.1,q=0.5")
+    assert parsed.algorithms == ("greedy", "dpim", "mpa")
+    assert parsed.ks == (1, 5, 10)
+    assert (parsed.reps, parsed.master_seed, parsed.trials) == (100, 42, 3)
+    assert (parsed.output, parsed.max_outer, parsed.timing) == ("results.csv", 10, "none")
 
 
 def test_bench_tree_required_for_dpim(tmp_path):
