@@ -110,6 +110,9 @@ def _cmd_gen_worstcase(args) -> int:
 
 def _cmd_gen_gnm(args) -> int:
     _require_seed(args)
+    if args.n < 1:
+        # The loaders reject a graph without vertices, so none is written.
+        raise _UsageError(f"--n must be at least 1, got {args.n}")
     graph = gen_gnm(args.n, args.m, args.seed)
     graph.write(args.out)
     return 0

@@ -54,10 +54,11 @@ class HierarchyTree:
 
         child_count = np.zeros(count, dtype=np.int64)
         np.add.at(child_count, parents[parents >= 0], 1)
-        left = np.full(count, -1, dtype=np.int64)
-        right = np.full(count, -1, dtype=np.int64)
-        for node in range(count):
-            par = parents[node]
+        # Nodes are visited in ascending order, so each left child is the
+        # smaller id: the canonical orientation.
+        left = [-1] * count
+        right = [-1] * count
+        for node, par in enumerate(parents.tolist()):
             if par < 0:
                 continue
             if left[par] == -1:
@@ -66,9 +67,6 @@ class HierarchyTree:
                 right[par] = node
         if not np.all((child_count == 0) | (child_count == 2)):
             raise FormatError("internal nodes must have exactly two children")
-        # Canonical orientation: left child is the smaller node id.
-        swap = (right >= 0) & (right < left)
-        left[swap], right[swap] = right[swap], left[swap]
 
         is_leaf = child_count == 0
         if np.any(is_leaf != (leaf_vertex >= 0)):
@@ -81,41 +79,37 @@ class HierarchyTree:
         order = [int(roots[0])]
         for node in order:
             if left[node] >= 0:
-                order.append(int(left[node]))
-                order.append(int(right[node]))
+                order.append(left[node])
+                order.append(right[node])
         if len(order) != count:
             raise FormatError("nodes disconnected from the root (cycle)")
+
+        sizes = [1] * count
+        heights = [0] * count
+        depth = [0] * count
+        for node in reversed(order):  # children first
+            a, b = left[node], right[node]
+            if a >= 0:
+                sizes[node] = sizes[a] + sizes[b]
+                heights[node] = 1 + max(heights[a], heights[b])
+        for node in order:
+            a, b = left[node], right[node]
+            if a >= 0:
+                depth[a] = depth[b] = depth[node] + 1
 
         self._n = n
         self._parents = parents
         self._leaf_vertex = leaf_vertex
-        self._left = left
-        self._right = right
         self._root = int(roots[0])
-        self._topo = np.array(order[::-1], dtype=np.int64)  # children first
-
-        sizes = np.zeros(count, dtype=np.int64)
-        heights = np.zeros(count, dtype=np.int64)
-        depth = np.zeros(count, dtype=np.int64)
-        for node in self._topo:
-            if left[node] < 0:
-                sizes[node] = 1
-            else:
-                sizes[node] = sizes[left[node]] + sizes[right[node]]
-                heights[node] = 1 + max(heights[left[node]], heights[right[node]])
-        for node in order:
-            if left[node] >= 0:
-                depth[left[node]] = depth[node] + 1
-                depth[right[node]] = depth[node] + 1
-        self._sizes = sizes
-        self._heights = heights
-        self._depth = depth
+        self._left, self._right, self._sizes, self._heights, self._depth = per_node = [
+            np.array(x, dtype=np.int64) for x in (left, right, sizes, heights, depth)
+        ]
         leaf_of = np.full(n, -1, dtype=np.int64)
         leaf_nodes = np.flatnonzero(is_leaf)
         leaf_of[leaf_vertex[leaf_nodes]] = leaf_nodes
         self._leaf_of = leaf_of
         self._up = None
-        for arr in (parents, leaf_vertex, left, right, sizes, heights, depth, leaf_of):
+        for arr in (parents, leaf_vertex, leaf_of, *per_node):
             arr.setflags(write=False)
 
     @property
@@ -412,86 +406,127 @@ def build_bisection(graph, seed: int) -> HierarchyTree:
     Each split puts ceil(s/2) vertices on the left; the grown region is
     chosen from a few seeded BFS starts by cut size, then improved by
     balance-preserving single swaps while they strictly reduce the cut.
+
+    Each split works on its subgraph as raw CSR arrays in local columns; a
+    child's arrays are the parent's, masked and renumbered.  Each vertex's
+    cut change from switching sides is kept incrementally: a swap changes it
+    only for the two swapped vertices' neighbors (Fiduccia-Mattheyses
+    bookkeeping).  Swap candidates are ranked by gain, then by smallest local
+    id, and the first strictly best pair wins.
     """
+    n = graph.n
+    if n < 2:  # n = 0 fails the tree's own node-count check
+        return HierarchyTree([-1] * n, range(n))
     rng = generator(DOMAIN_TREE_BISECTION, seed)
     A = graph.csr()
 
-    def split(ids: np.ndarray):
-        if ids.size == 1:
-            return int(ids[0])
-        side = _bisect_once(A, ids, rng)
-        return (split(ids[side]), split(ids[~side]))
+    def split(ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
+        side = _bisect_once(indptr, indices, rng)
+        halves = []
+        for part in (side, ~side):
+            sub = ids[part]
+            if sub.size == 1:
+                halves.append(int(sub[0]))
+            else:
+                halves.append(split(sub, *_restrict(indptr, indices, part)))
+        return tuple(halves)
 
-    return tree_from_nested(split(np.arange(graph.n, dtype=np.int64)))
+    return tree_from_nested(split(np.arange(n), A.indptr, A.indices))
 
 
 _BISECT_STARTS = 3
 _BISECT_SWAPS = 64
 
 
-def _bisect_once(A, ids: np.ndarray, rng) -> np.ndarray:
-    """Pick a ceil(s/2)-sized side (bool mask over ids) with a small cut."""
-    s = ids.size
+def _restrict(indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray):
+    """CSR (indptr, indices) of the subgraph on keep, columns renumbered in order."""
+    hit = keep[indices]
+    row_nnz = _row_counts(indptr, hit)[keep]
+    sub_indptr = np.zeros(row_nnz.size + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=sub_indptr[1:])
+    local = np.cumsum(keep) - 1
+    return sub_indptr, local[indices[hit & np.repeat(keep, np.diff(indptr))]]
+
+
+def _row_counts(indptr: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per row, how many of its entries are flagged (along the last axis)."""
+    csum = np.zeros(flags.shape[:-1] + (flags.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(flags, axis=-1, out=csum[..., 1:])
+    return csum[..., indptr[1:]] - csum[..., indptr[:-1]]
+
+
+def _grow(ptr, nbr, start: int, target: int) -> list:
+    """The first target vertices in BFS order from start; when the queue runs
+    dry the search restarts at the smallest unseen vertex."""
+    queue = [start]
+    seen = bytearray(len(ptr) - 1)
+    seen[start] = 1
+    rest = 0
+    qi = 0
+    while qi < target:
+        if qi == len(queue):
+            while seen[rest]:
+                rest += 1
+            seen[rest] = 1
+            queue.append(rest)
+        cur = queue[qi]
+        qi += 1
+        for nb in nbr[ptr[cur] : ptr[cur + 1]]:
+            if not seen[nb]:
+                seen[nb] = 1
+                queue.append(nb)
+    return queue[:target]
+
+
+def _bisect_once(indptr: np.ndarray, indices: np.ndarray, rng) -> np.ndarray:
+    """Pick a ceil(s/2)-sized side (bool mask over local ids) with a small cut."""
+    s = indptr.size - 1
     target = (s + 1) // 2
-    sub = A[ids][:, ids].tocsr()
-    sub.sort_indices()
-    indptr, indices = sub.indptr, sub.indices
+    # Element reads as Python ints; a tolist() copy would hold about 36 bytes
+    # per CSR entry for the top split.
+    ptr = memoryview(indptr)
+    nbr = memoryview(indices)
 
     starts = rng.choice(s, size=min(_BISECT_STARTS, s), replace=False)
-    best_side = None
-    best_cut = None
-    for start in starts:
-        side = np.zeros(s, dtype=bool)
-        chosen = 0
-        queue = [int(start)]
-        qi = 0
-        seen = np.zeros(s, dtype=bool)
-        seen[start] = True
-        while chosen < target:
-            if qi == len(queue):
-                rest = np.flatnonzero(~seen)
-                if rest.size == 0:
-                    break
-                queue.append(int(rest[0]))
-                seen[rest[0]] = True
-                continue
-            cur = queue[qi]
-            qi += 1
-            side[cur] = True
-            chosen += 1
-            for nb in indices[indptr[cur] : indptr[cur + 1]]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    queue.append(int(nb))
-        inner = sub @ side.astype(np.int64)
-        cut = int(inner[~side].sum())
-        if best_cut is None or cut < best_cut:
-            best_cut, best_side = cut, side
-
-    side = best_side
-    deg = np.asarray(sub.sum(axis=1)).ravel()
+    sides = np.zeros((starts.size, s), dtype=bool)
+    for row, start in zip(sides, starts.tolist()):
+        row[_grow(ptr, nbr, start, target)] = True
+    nins = _row_counts(indptr, sides[:, indices])  # neighbors on the left, per vertex
+    best = int(np.argmin((nins * ~sides).sum(axis=1)))  # first smallest cut
+    side = sides[best]
+    # Moving a left vertex w right changes the cut by loss[w]; moving a right
+    # vertex w left changes it by -loss[w].
+    loss = 2 * nins[best] - np.diff(indptr)
+    # Left w has key loss[w] * s + w and right w has (2s - loss[w]) * s + w:
+    # distinct keys, every left one below every right one, ordered within a
+    # side by gain, then id.  Ranks [0, 8) and [target, target + 8) then hold
+    # each side's (at most) 8 best candidates, in order.
+    ids = np.arange(s)
+    ranks = [*range(min(8, target)), *range(target, min(target + 8, s))]
     for _ in range(_BISECT_SWAPS):
-        nin = sub @ side.astype(np.int64)  # neighbors on the left, per vertex
-        gain_a = deg - 2 * nin  # cut change from moving a left vertex right
-        gain_b = 2 * nin - deg
-        left_ids = np.flatnonzero(side)
-        right_ids = np.flatnonzero(~side)
-        ka = left_ids[np.lexsort((left_ids, -gain_a[left_ids]))][:8]
-        kb = right_ids[np.lexsort((right_ids, -gain_b[right_ids]))][:8]
+        order = np.argpartition(np.where(side, loss, 2 * s - loss) * s + ids, ranks)
+        ka = order[: min(8, target)]
+        kb = order[target : target + 8]
+        gain_a = (-loss[ka]).tolist()
+        gain_b = loss[kb].tolist()
+        if gain_a[0] + gain_b[0] <= 0:  # no pair can gain
+            break
+        cand_b = list(zip(kb.tolist(), gain_b))
         swap = None
         swap_gain = 0
-        for u in ka:
-            row = indices[indptr[u] : indptr[u + 1]]
-            for v in kb:
-                pos = int(np.searchsorted(row, v))
-                adj = 1 if pos < row.size and row[pos] == v else 0
-                g = int(gain_a[u] + gain_b[v] - 2 * adj)
+        for u, ga in zip(ka.tolist(), gain_a):
+            adj = set(nbr[ptr[u] : ptr[u + 1]])
+            for v, gb in cand_b:
+                g = ga + gb - 2 * (v in adj)
                 if g > swap_gain:
-                    swap_gain, swap = g, (int(u), int(v))
+                    swap_gain, swap = g, (u, v)
         if swap is None:
             break
-        side[swap[0]] = False
-        side[swap[1]] = True
+        u, v = swap
+        side[u] = False
+        side[v] = True
+        loss[indices[ptr[u] : ptr[u + 1]]] -= 2
+        loss[indices[ptr[v] : ptr[v + 1]]] += 2
     return side
 
 

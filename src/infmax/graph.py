@@ -46,7 +46,7 @@ class Graph:
         n = int(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arr = np.asarray(list(edges), dtype=np.int64)
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -263,17 +263,15 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     if m > max_m:
         raise ValueError(f"m={m} exceeds maximum {max_m} for n={n}")
     rng = generator(DOMAIN_GNM, seed)
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < m:
-        batch = max(256, 2 * (m - len(chosen)))
+    chosen = np.empty(0, dtype=np.int64)  # pairs as lo * n + hi, in draw order
+    while chosen.size < m:
+        batch = max(256, 2 * (m - chosen.size))
         us = rng.integers(0, n, size=batch)
         vs = rng.integers(0, n, size=batch)
-        for u, v in zip(us, vs):
-            if u == v:
-                continue
-            e = (int(min(u, v)), int(max(u, v)))
-            if e not in chosen:
-                chosen.add(e)
-                if len(chosen) == m:
-                    break
-    return Graph(n, chosen)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        keys = (lo * n + hi)[lo != hi]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]  # first draw of each pair, in draw order
+        keys = keys[~np.isin(keys, chosen)]
+        chosen = np.concatenate([chosen, keys[: m - chosen.size]])
+    return Graph(n, np.stack(np.divmod(chosen, n), axis=1))

@@ -42,6 +42,15 @@ def test_gen_gnm_requires_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_gen_gnm_rejects_empty_graph(tmp_path, capsys, n):
+    out = tmp_path / "g.txt"
+    rc = run("gen-gnm", "--n", n, "--m", 0, "--seed", 1, "--out", out)
+    assert rc == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_hier_writes_pair(tmp_path):
     og, ot = tmp_path / "g.txt", tmp_path / "t.tree"
     rc = run("gen-hier", "--d", 4, "--l", 9, "--t", 3, "--seed", 5,

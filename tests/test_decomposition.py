@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from infmax import (
     build_random_pair,
     dasgupta_cost,
     gen_gnm,
+    gen_hierarchical,
+    gen_worstcase,
     read_tree,
     tree_from_nested,
     write_tree,
@@ -194,6 +198,49 @@ def test_bisection_separates_power_of_two_cliques():
     g = Graph(8, edges)
     t = build_bisection(g, 5)
     assert t.leaf_set(t.left(t.root)) in ({0, 1, 2, 3}, {4, 5, 6, 7})
+
+
+def _bisection_pin_graphs():
+    k9 = [(a, b) for a in range(9) for b in range(a + 1, 9)]
+    k5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    return {
+        # seed 4 leaves an isolated vertex, so the graph has two components
+        "gnm-2000-10000": gen_gnm(2000, 10000, seed=4),
+        "gnm-400-300": gen_gnm(400, 300, seed=2),
+        "hier-6-15-8": gen_hierarchical(6, 15, 8, 1)[0],
+        "worstcase-5": gen_worstcase(5).graph,
+        "k9": Graph(9, k9),
+        "two-k5": Graph(10, k5 + [(a + 5, b + 5) for a, b in k5]),
+        "star": Graph(12, [(0, v) for v in range(1, 12)]),
+        "path-300": Graph(300, [(v, v + 1) for v in range(299)]),
+        "edgeless-9": Graph(9, []),
+    }
+
+
+# sha256 over (parents, leaf_vertex) bytes of the trees at seeds 1 and 20261017
+_BISECTION_PINS = {
+    "gnm-2000-10000": "85c605cef593287fbd364b6441fc430600c15b5c3eab762d8cc0e3e63b1e85f7",
+    "gnm-400-300": "02ff1437edbcb5f425aba623746497efbd4b23322dd3920ec8be7383a6589bc9",
+    "hier-6-15-8": "a13f9af07e028d857d22e8b5e22453029b34ce72141a013ac6cae021ae494622",
+    "worstcase-5": "7be450f7353f55f1f2dbe4aafbcd11831336ab0dce8bc6bdc8016a328a45e9d1",
+    "k9": "ef594d627d3d138fe589d298adc612a50fa763677e39fca952fd99fa2fceb560",
+    "two-k5": "d0c236439b8daf3b4d1ca60df073907b3e179d481713bb99cca36bd9b183054d",
+    "star": "7c98ee046ae614c3247a11765801c00033e93f28c7b341c05d765ef7c9ab7791",
+    "path-300": "c5dbe9fab519f8ffca715887890425e1d20690b7acac95fe8678e75bdcba1eca",
+    "edgeless-9": "ef594d627d3d138fe589d298adc612a50fa763677e39fca952fd99fa2fceb560",
+}
+
+
+def test_bisection_pinned():
+    got = {}
+    for name, g in _bisection_pin_graphs().items():
+        h = hashlib.sha256()
+        for seed in (1, 20261017):
+            t = build_bisection(g, seed)
+            h.update(t._parents.tobytes())
+            h.update(t._leaf_vertex.tobytes())
+        got[name] = h.hexdigest()
+    assert got == _BISECTION_PINS
 
 
 def test_jaccard_capacity_guard():

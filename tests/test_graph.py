@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +116,21 @@ def test_gen_gnm_reproducible():
 def test_gen_gnm_complete_triangle():
     g = gen_gnm(3, 3, seed=0)
     assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 2]]
+
+
+# sha256 of edge_array bytes: a sparse graph, a dense one that needs several
+# rejection batches, and a near-complete one.
+_GNM_PINS = {
+    (2000, 10000, 4): "5403f39db2799cba9a8fa8e337a6b49438caacb626c59a2e11fa1958454bcb06",
+    (500, 20000, 3): "6d0effd0c843acf7bbf77b167b8d71cca54ae7b817a306bdbe462c504e1ce5eb",
+    (200, 19000, 5): "134bac49fb0858e21e78e8b9510712eeb2e3b75aaf98e7a5f7b70c655b522dbe",
+}
+
+
+@pytest.mark.parametrize("n,m,seed", sorted(_GNM_PINS))
+def test_gen_gnm_pinned(n, m, seed):
+    g = gen_gnm(n, m, seed)
+    assert hashlib.sha256(g.edge_array.tobytes()).hexdigest() == _GNM_PINS[n, m, seed]
 
 
 def test_gen_gnm_too_many_edges():
