@@ -14,7 +14,6 @@ from .cascade import (
     MonteCarloOracle,
     OracleConfig,
     SigmaEstimate,
-    local_influence,
     parse_model,
     sigma_exact,
     sigma_mc,
@@ -78,7 +77,6 @@ __all__ = [
     "gen_worstcase",
     "greedy",
     "load_edge_list",
-    "local_influence",
     "main",
     "mpa",
     "mpa_init_table",

@@ -157,16 +157,6 @@ def parse_model(text: str) -> CascadeModel:
     return CascadeModel(name, **params)
 
 
-def local_influence(model: CascadeModel, infected_count: int, degree: int) -> float:
-    """f(c, d) with argument validation: the f_table(d) entry the cascades use."""
-    c, d = int(infected_count), int(degree)
-    if c < 0 or d < 0:
-        raise ValueError("counts must be nonnegative")
-    if c > d:
-        raise ValueError(f"infected count {c} exceeds degree {d}")
-    return float(model.f_table(d)[c])
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Monte Carlo oracle settings: repetitions, seed, and draw regime.

@@ -502,8 +502,8 @@ def main(argv=None) -> int:
     except (FormatError, ConsistencyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

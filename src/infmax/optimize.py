@@ -8,8 +8,10 @@ the result counts only the queries made while optimizing, not the final
 evaluation.  Every argmax takes the first maximal candidate, so ties fall
 to the smallest id, share or subset.
 
-There is one tree dynamic program: dpim returns its root row, and the
-message passing schedule starts from the allocation table it fills.
+There is one allocation step, _allocate: each budget's best split between
+two directions with the third direction's seeds held fixed.  The dynamic
+program runs it bottom-up with an empty third direction, and each message
+passing update runs it on the sets the current table retrieves.
 """
 
 from __future__ import annotations
@@ -104,19 +106,6 @@ def _search(graph, model, k: int, cfg, search, tree: HierarchyTree | None = None
     return SeedSet(frozenset(seeds), _final_estimate(oracle, seeds), calls, history)
 
 
-def _shares(ii: int, cap1: int, cap2: int) -> range:
-    """The shares j of ii seeds with at most cap1 here and cap2 there."""
-    return range(max(0, ii - cap2), min(ii, cap1) + 1)
-
-
-def _best_split(oracle, shares: range, seeds_of) -> int:
-    """First share j whose set seeds_of(j) has the largest sigma; a forced
-    split (one share) makes no query."""
-    if len(shares) == 1:
-        return shares[0]
-    return max(shares, key=lambda j: oracle.sigma(seeds_of(j)).mean)
-
-
 def greedy(graph, model, k: int, cfg) -> SeedSet:
     """k rounds of marginal argmax; ties fall to the smallest vertex id."""
 
@@ -133,13 +122,34 @@ def greedy(graph, model, k: int, cfg) -> SeedSet:
     return _search(graph, model, k, cfg, search)
 
 
-def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> dict[int, list[frozenset[int]]]:
-    """The bottom-up dynamic program: node -> [best seeds per budget].
+def _allocate(oracle, table: AllocationTable, node: int, dpair, k: int, first, second, rest) -> list[frozenset[int]]:
+    """For each budget i, write (j, ii - j) into row (node, dpair) for the
+    first share j whose set first[j] | second[ii - j] | rest[min(k - i, cap3)]
+    has the largest sigma, where ii = min(i, cap1 + cap2) and each list
+    holds one set per budget 0..cap.  A forced split makes no query.
+    Returns the chosen sets for the budgets i <= cap1 + cap2."""
+    cap1, cap2, cap3 = len(first) - 1, len(second) - 1, len(rest) - 1
+    chosen = []
+    for i in range(k + 1):
+        ii, fixed = min(i, cap1 + cap2), rest[min(k - i, cap3)]
+        shares = range(max(0, ii - cap2), min(ii, cap1) + 1)
+        j = shares[0] if len(shares) == 1 else max(
+            shares, key=lambda j: oracle.sigma(first[j] | second[ii - j] | fixed).mean
+        )
+        table.set(node, dpair, i, j, ii - j)
+        if i == ii:
+            chosen.append(first[j] | second[ii - j] | fixed)
+    return chosen
 
-    Entry [v][i] is the chosen i-subset of T(v); rows run up to
-    min(|T(v)|, k).  Every split chosen at an internal node is written into
-    table as its (L, R) advice; budgets past the subtree size get the
-    clamped split (size(L), size(R)).
+
+def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> list[frozenset[int]]:
+    """The bottom-up dynamic program; returns the root's row.
+
+    Row [i] of node v is the chosen i-subset of T(v); rows run up to
+    min(|T(v)|, k), and a child's row is dropped once its parent has read
+    it.  Every split chosen at an internal node is written into table as
+    its (L, R) advice; budgets past the subtree size get the clamped split
+    (size(L), size(R)).
     """
     rows: dict[int, list[frozenset[int]]] = {}
     for h in range(tree.tree_height + 1):
@@ -147,17 +157,10 @@ def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> dic
             node = int(node)
             if tree.is_leaf(node):
                 rows[node] = [frozenset(), frozenset((tree.leaf_vertex(node),))][: k + 1]
-                continue
-            left, right = rows[tree.left(node)], rows[tree.right(node)]
-            cap_l, cap_r = len(left) - 1, len(right) - 1
-            row = rows[node] = []
-            for i in range(k + 1):
-                ii = min(i, cap_l + cap_r)
-                j = _best_split(oracle, _shares(ii, cap_l, cap_r), lambda j: left[j] | right[ii - j])
-                table.set(node, LR, i, j, ii - j)
-                if i == ii:
-                    row.append(left[j] | right[ii - j])
-    return rows
+            else:
+                left, right = rows.pop(tree.left(node)), rows.pop(tree.right(node))
+                rows[node] = _allocate(oracle, table, node, LR, k, left, right, [frozenset()])
+    return rows[tree.root]
 
 
 def dpim(graph, tree: HierarchyTree, model, k: int, cfg) -> SeedSet:
@@ -168,7 +171,7 @@ def dpim(graph, tree: HierarchyTree, model, k: int, cfg) -> SeedSet:
     """
 
     def search(oracle, k):
-        return _dp_fill(oracle, tree, k, AllocationTable(tree, k))[tree.root][k], None
+        return _dp_fill(oracle, tree, k, AllocationTable(tree, k))[k], None
 
     return _search(graph, model, k, cfg, search, tree)
 
@@ -177,31 +180,36 @@ class AllocationTable:
     """Split advice A(node, direction pair, budget) -> (into first, into second).
 
     Directions at a node: L and R are its children's subtrees, U is
-    everything outside its own subtree.  All entries start at (0, 0); the
-    root's U share is pinned to zero.
+    everything outside its own subtree.  Only entries that were set are
+    stored; every other entry reads (0, 0).  The root's U share is pinned
+    to zero.
     """
 
     def __init__(self, tree: HierarchyTree, k: int):
         self.k = int(k)
-        self.root = tree.root
+        self._tree = tree
         self._data: dict[tuple[int, tuple, int], tuple[int, int]] = {}
-        for node in range(tree.node_count):
-            for pair in DIRECTION_PAIRS:
-                for ell in range(self.k + 1):
-                    self._data[(node, pair, ell)] = (0, 0)
 
-    def get(self, node: int, dpair, ell: int) -> tuple[int, int]:
-        return self._data[(node, tuple(dpair), ell)]
-
-    def set(self, node: int, dpair, ell: int, s1: int, s2: int) -> None:
+    def _key(self, node: int, dpair, ell: int) -> tuple[int, tuple, int]:
         dpair = tuple(dpair)
         if dpair not in DIRECTION_PAIRS:
             raise ValueError(f"bad direction pair {dpair!r}")
+        if not 0 <= node < self._tree.node_count:
+            raise ValueError(f"node {node} is outside the tree")
+        if not 0 <= ell <= self.k:
+            raise ValueError(f"budget {ell} is outside 0..{self.k}")
+        return (node, dpair, ell)
+
+    def get(self, node: int, dpair, ell: int) -> tuple[int, int]:
+        return self._data.get(self._key(node, dpair, ell), (0, 0))
+
+    def set(self, node: int, dpair, ell: int, s1: int, s2: int) -> None:
+        key = self._key(node, dpair, ell)
         if s1 < 0 or s2 < 0 or s1 + s2 > ell:
             raise ValueError(f"split ({s1}, {s2}) invalid for budget {ell}")
-        if node == self.root and dpair != LR and s2 != 0:
+        if node == self._tree.root and key[1] != LR and s2 != 0:
             raise ValueError("root has no U side; its U share must be 0")
-        self._data[(node, dpair, ell)] = (int(s1), int(s2))
+        self._data[key] = (int(s1), int(s2))
 
 
 def _follow(tree: HierarchyTree, node: int, direction: str):
@@ -247,20 +255,17 @@ def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair
 
 
 def _update(oracle, tree: HierarchyTree, k: int, table: AllocationTable, node: int, dpair) -> None:
+    """Rewrite row (node, dpair) from the sets the table retrieves in the
+    three directions.  No walk from node's neighbors reads node's own rows,
+    so each direction's sets are retrieved once, before the row changes."""
     (d3,) = {"L", "R", "U"} - set(dpair)
-    t1, t2, t3 = (_follow(tree, node, d) for d in (*dpair, d3))
-    cap1, cap2 = min(t1[2], k), min(t2[2], k)
-
-    def part(step, budget):
-        return retrieve_seeds(tree, table, step[0], step[1], budget) if budget > 0 else frozenset()
-
-    for i in range(k + 1):
-        ii = min(i, cap1 + cap2)
-        shares = _shares(ii, cap1, cap2)
-        # A forced split makes no query, so it needs no third-direction seeds.
-        part3 = part(t3, min(k - i, t3[2])) if len(shares) > 1 else frozenset()
-        j = _best_split(oracle, shares, lambda j: part(t1, j) | part(t2, ii - j) | part3)
-        table.set(node, dpair, i, j, ii - j)
+    sets = []
+    for direction in (*dpair, d3):
+        neighbor, pair, leaves = _follow(tree, node, direction)
+        sets.append([frozenset()] + [
+            retrieve_seeds(tree, table, neighbor, pair, b) for b in range(1, min(leaves, k) + 1)
+        ])
+    _allocate(oracle, table, node, dpair, k, *sets)
 
 
 def mpa_update(graph, tree: HierarchyTree, model, k: int, cfg, table: AllocationTable, node: int, dpair) -> AllocationTable:
@@ -272,6 +277,8 @@ def mpa_update(graph, tree: HierarchyTree, model, k: int, cfg, table: Allocation
     on ties).
     """
     k = _check(graph, k, tree)
+    if table.k != k or table._tree is not tree:
+        raise ConsistencyError("allocation table was built for another tree or another k")
     dpair = tuple(dpair)
     if dpair not in DIRECTION_PAIRS:
         raise ValueError(f"bad direction pair {dpair!r}")

@@ -23,7 +23,6 @@ from infmax import (
     OracleConfig,
     gen_gnm,
     gen_worstcase,
-    local_influence,
     parse_model,
     sigma_exact,
     sigma_mc,
@@ -44,45 +43,37 @@ ALL_MODELS = [
 
 def test_icm_values():
     m = CascadeModel.icm(0.3)
-    assert local_influence(m, 0, 5) == 0.0
-    assert local_influence(m, 1, 5) == pytest.approx(0.3)
-    assert local_influence(m, 2, 5) == pytest.approx(1 - 0.7**2)
+    assert m.f_table(5)[0] == 0.0
+    assert m.f_table(5)[1] == pytest.approx(0.3)
+    assert m.f_table(5)[2] == pytest.approx(1 - 0.7**2)
 
 
 def test_ltm_values():
     m = CascadeModel.ltm()
-    assert local_influence(m, 2, 5) == pytest.approx(0.4)
-    assert local_influence(m, 5, 5) == 1.0
+    assert m.f_table(5)[2] == pytest.approx(0.4)
+    assert m.f_table(5)[5] == 1.0
 
 
 def test_dicm_deflates_only_singletons():
     m = CascadeModel.dicm(0.01, 0.1)
-    assert local_influence(m, 1, 5) == pytest.approx(0.001)
-    assert local_influence(m, 2, 5) == pytest.approx(1 - 0.99**2)
+    assert m.f_table(5)[1] == pytest.approx(0.001)
+    assert m.f_table(5)[2] == pytest.approx(1 - 0.99**2)
 
 
 def test_scm_values():
     m = CascadeModel.scm()
-    assert local_influence(m, 2, 3) == 0.5
-    assert local_influence(m, 3, 3) == 1.0
-    assert local_influence(m, 0, 3) == 0.0
+    assert m.f_table(3)[2] == 0.5
+    assert m.f_table(3)[3] == 1.0
+    assert m.f_table(3)[0] == 0.0
     # f(c,d) = c^2/4 / (c^2/4 + (d-c)^2), scaled to integers
-    assert local_influence(m, 1, 4) == pytest.approx((1 / 4) / (1 / 4 + 9))
+    assert m.f_table(4)[1] == pytest.approx((1 / 4) / (1 / 4 + 9))
 
 
 def test_twostep_values():
     m = CascadeModel.twostep(0.05)
-    assert local_influence(m, 1, 9) == 0.05
-    assert local_influence(m, 2, 9) == 1.0
-    assert local_influence(m, 7, 9) == 1.0
-
-
-def test_local_influence_validates():
-    m = CascadeModel.ltm()
-    with pytest.raises(ValueError):
-        local_influence(m, -1, 3)
-    with pytest.raises(ValueError):
-        local_influence(m, 4, 3)
+    assert m.f_table(9)[1] == 0.05
+    assert m.f_table(9)[2] == 1.0
+    assert m.f_table(9)[7] == 1.0
 
 
 # Python's float ** int and numpy's power differ in the last bit here
@@ -97,14 +88,30 @@ _WITNESS_P = 0.04097352393619469
     ids=lambda m: m.spec,
 )
 def test_local_influence_is_the_table_entry(model):
-    # the public scalar reports, bit for bit, the value the cascades use
+    # the paper's f(c, d), one entry at a time in Python floats, is the
+    # table the cascades use, up to rounding
     for d in range(65):
-        got = np.array([local_influence(model, c, d) for c in range(d + 1)])
-        assert got.tobytes() == model.f_table(d).tobytes()
+        want = [_scalar_f(model, c, d) for c in range(d + 1)]
+        np.testing.assert_allclose(model.f_table(d), want, rtol=1e-12, atol=0)
+
+
+def _scalar_f(model, c, d):
+    if c == 0:
+        return 0.0
+    if model.kind == "dicm" and c == 1:
+        return model.q * model.p
+    if model.kind in ("icm", "dicm"):
+        return 1 - (1 - model.p) ** c
+    if model.kind == "ltm":
+        return c / d
+    if model.kind == "scm":
+        x = c / d
+        return (x / 2) ** 2 / ((x / 2) ** 2 + (1 - x) ** 2)
+    return model.eps if c == 1 else 1.0
 
 
 def test_local_influence_witness_entry():
-    assert local_influence(CascadeModel.icm(_WITNESS_P), 9, 9) == 0.3137610363461497
+    assert CascadeModel.icm(_WITNESS_P).f_table(9)[9] == 0.3137610363461497
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
@@ -122,9 +129,9 @@ def test_dicm_submodularity_boundary():
     p = 0.3
     for q, violates in [(0.5, True), (0.9, False)]:
         m = CascadeModel.dicm(p, q)
-        first = local_influence(m, 1, 5)
-        second = local_influence(m, 2, 5) - first
-        assert (second > first) is violates
+        first = m.f_table(5)[1]
+        second = m.f_table(5)[2] - first
+        assert (second > first) == violates
 
 
 def test_parse_model_round_trip():

@@ -168,6 +168,16 @@ def test_sigma_seed_outside_graph_is_exit_3(edge, tmp_path, capsys):
     assert str(seeds) in err and "seed id 5" in err
 
 
+def test_sigma_refused_allocation_is_exit_4(triangle, tmp_path, capsys):
+    # numpy refuses a reps x n table of this size at once: nothing is allocated
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("0\n")
+    rc = run("sigma", "--graph", triangle, "--cascade", "ltm", "--seeds", seeds,
+             "--reps", 10**15, "--seed", 1)
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- maximize
 
 

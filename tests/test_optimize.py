@@ -21,6 +21,7 @@ from infmax import (
     build_random_pair,
     dpim,
     gen_gnm,
+    gen_hierarchical,
     gen_worstcase,
     greedy,
     mpa,
@@ -237,6 +238,18 @@ def test_allocation_table_validates():
         table.set(tree.root, ("X", "R"), 1, 1, 0)
     with pytest.raises(ValueError):
         table.set(tree.root, ("L", "U"), 1, 0, 1)  # no up budget at root
+    for bad in ((10**9, ("L", "R"), 1), (-1, ("L", "R"), 1),  # node outside the tree
+                (tree.root, ("L", "R"), 3), (tree.root, ("L", "R"), -1),  # budget outside 0..k
+                (tree.root, ("U", "L"), 1)):  # unknown pair
+        with pytest.raises(ValueError):
+            table.get(*bad)
+        with pytest.raises(ValueError):
+            table.set(*bad, 0, 0)
+    with pytest.raises(ValueError):
+        table.set(10**9, ("L", "R"), 99, 0, 0)
+    # unset entries read (0, 0) and a built table holds none
+    assert table.get(tree.root, ("R", "U"), 2) == (0, 0)
+    assert not table._data
     table.set(tree.root, ("L", "R"), 2, 1, 1)
     assert table.get(tree.root, ("L", "R"), 2) == (1, 1)
 
@@ -285,6 +298,17 @@ def test_mpa_update_rejects_leaves():
     table = _table_for(tree, 1)
     with pytest.raises(ValueError):
         mpa_update(g, tree, CascadeModel.ltm(), 1, "exact", table, tree.left(tree.root), ("L", "R"))
+
+
+def test_mpa_update_rejects_foreign_table():
+    g = gen_gnm(10, 18, seed=7)
+    tree = build_bisection(g, 2)
+    model = CascadeModel.icm(0.3)
+    node = int(tree.left(tree.root))
+    # a table for another k, and one for another (equal) tree
+    for table, k in ((_table_for(tree, 2), 3), (_table_for(build_bisection(g, 2), 2), 2)):
+        with pytest.raises(ConsistencyError):
+            mpa_update(g, tree, model, k, "exact", table, node, ("L", "U"))
 
 
 def test_mpa_update_worstcase_root_allocates_to_clique():
@@ -425,3 +449,26 @@ def test_optimizers_pinned():
 
 
 _OPTIMIZER_PIN = "0e6215f5eb6e7cae49702fe7ceca5c27ff7be52d25e23c494a4cb498a8934127"
+
+
+def _midsize_dump():
+    """dpim and mpa on a 32-vertex hierarchical graph, under its guide tree
+    and a bisection tree, where the outside (U) directions hold real sets."""
+    g, guide = gen_hierarchical(5, 15, 6, 3)
+    lines = []
+    for tree, model in itertools.product(
+        (guide, build_bisection(g, 1)), (CascadeModel.scm(), CascadeModel.icm(0.1))
+    ):
+        cfg = OracleConfig(30, 4)
+        for r in (dpim(g, tree, model, 4, cfg), mpa(g, tree, model, 4, cfg, max_outer=2)):
+            lines.append(f"{sorted(r.vertices)} {r.sigma!r} {r.oracle_calls} {r.history}")
+    return "\n".join(lines)
+
+
+def test_optimizers_pinned_midsize():
+    # Recorded before dpim and the MPA update shared one allocation step.
+    digest = hashlib.sha256(_midsize_dump().encode()).hexdigest()
+    assert digest == _MIDSIZE_PIN
+
+
+_MIDSIZE_PIN = "e94b41649fd742516c37ad423bd5162bdabeddd531ba588898dfd574b8f70a25"

@@ -6,7 +6,6 @@ from infmax import (
     CascadeModel,
     gen_hierarchical,
     gen_worstcase,
-    local_influence,
     sigma_exact,
 )
 
@@ -87,7 +86,7 @@ def test_worstcase_layout_n3():
     assert g.m == 21  # 3 clique + 2*9 star edges
     sizes = sorted(len(c) for c in g.components())
     assert sizes == [3, 10, 10]
-    assert local_influence(inst.model, 1, 9) == pytest.approx(1 / 9)
+    assert inst.model.f_table(9)[1] == pytest.approx(1 / 9)
 
 
 def test_worstcase_centers_and_degrees():
