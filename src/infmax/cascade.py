@@ -14,23 +14,28 @@ settles the rest.  f * B and theta * B are exact, so K_v is exactly
 searchsorted(f_table(d), theta_v) (see _count_classes).  Both oracles work
 in count-class space.  With the classes fixed,
 a cascade is a monotone closure, so the infected set does not depend on how
-a round is computed: the Monte Carlo kernel pushes only the newly infected
-frontier of all repetitions at once along the raw CSR arrays, and exact
-expectations are computable by conditioning on one class boundary at a time.
-Both oracles evaluate a seed set one connected component at a time, on the
-component index that each Graph builds once and caches (graph.py): its
-split() validates and groups the seeds, and its per-component CSR arrays feed
-the kernel and the exact oracle's neighbor masks.
+a round is computed.  The Monte Carlo kernel counts round one once for all
+repetitions, since every repetition starts from the same seeds, then pushes
+only the newly infected frontier of all repetitions at once along the raw CSR
+arrays.  Exact expectations are computable by conditioning on one class
+boundary at a time.  Both oracles evaluate a seed set one connected component
+at a time, on the component index that each Graph builds once and caches
+(graph.py): its split() validates and groups the seeds, and its
+per-component CSR arrays feed the kernel and the exact oracle's neighbor
+masks.  The Monte Carlo oracle answers a seed set it has answered before with
+one lookup in a memo of whole sets.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
+from .graph import _vertex_id
 from ._rng import DOMAIN_CRN, DOMAIN_INDEPENDENT, generator, seeds_digest
 
 CRN = "CRN"
@@ -171,6 +176,12 @@ class OracleConfig:
     mode: str = CRN
 
     def __post_init__(self):
+        for name in ("reps", "master_seed"):
+            val = getattr(self, name)
+            # numpy integers are Integral (stored as int); bool is too, but is no count.
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            object.__setattr__(self, name, int(val))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.mode not in (CRN, INDEPENDENT):
@@ -274,7 +285,7 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
     # NaN fails this test, as it would pass a min/max range check.
     if not ((theta >= 0.0) & (theta <= 1.0)).all():
         raise ValueError("thresholds must lie in [0, 1]")
-    seed_list = sorted({int(v) for v in seeds})
+    seed_list = sorted({_vertex_id(v) for v in seeds})
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= n):
         raise ValueError("seed outside vertex range")
 
@@ -292,42 +303,72 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
 # touches.  Sparse G(n, m) cascades stay far below the switch, where a dense
 # step costs several times more; hierarchical scm cascades put a third of
 # their rounds above it, where sorting costs more.  Kernel time there is
-# flat for shares from 6 to 16 and grows as the share falls below 6.
+# flat for shares from 6 to 16 and grows as the share falls below 6.  The
+# shared round one switches the same way on its touched vertices: tested
+# alone while they are under nc / _DENSE_SHARE (the seeds' neighborhood in
+# G(n, m)), else with every entry (hierarchical seed sets).
 _DENSE_SHARE = 8
+
+
+def _runs(indptr, v, d):
+    """Positions in indices of the adjacency runs of vertices v (degrees d).
+
+    The runs are laid end to end: entry j belongs to the run that holds j
+    and reads indices at its offset in that run.
+    """
+    ends = np.cumsum(d)
+    pos = np.repeat(indptr[v] - (ends - d), d)
+    pos += np.arange(pos.size)
+    return pos
 
 
 def _targets(indptr, indices, nc, frontier, v, d):
     """Flattened targets r * nc + w of the edges leaving the frontier.
 
-    v is frontier % nc and d its degrees.  The frontier's adjacency runs are
-    laid end to end: entry j belongs to the run that holds j and reads
-    indices at its offset in that run.
+    v is frontier % nc and d its degrees.
     """
-    ends = np.cumsum(d)
-    pos = np.repeat(indptr[v] - (ends - d), d)
-    pos += np.arange(ends[-1])
     targets = np.repeat(frontier - v, d)
-    targets += indices[pos]
+    targets += indices[_runs(indptr, v, d)]
     return targets
 
 
-def _closure(indptr, indices, K, seed_cols) -> np.ndarray:
+def _closure(indptr, indices, K, seed_cols, degree=None) -> np.ndarray:
     """Infected mask (reps, nc) of the cascade from seed_cols in every repetition.
 
-    (indptr, indices) is the CSR adjacency of the nc vertices and K their
-    (reps, nc) count classes.  Entry (r, v) is flattened to r * nc + v; each
+    (indptr, indices) is the CSR adjacency of the nc vertices, degree their
+    degrees (np.diff(indptr) if None) and K their (reps, nc) count classes.
+    Entry (r, v) is flattened to r * nc + v.  Round one is the same in every
+    repetition: each non-seed w gains c_w = |N(w) & seeds| infected
+    neighbors, counted once in one pass over the seeds' adjacency.  Its
+    frontier is where K reaches c_w: tested only at the touched vertices
+    W = {w : c_w > 0} when they are few, else over all entries.  So round one
+    holds the seeds' adjacency plus at most reps * nc entries.  Each later
     round pushes the newly infected frontier along its edges and infects the
-    uninfected entries whose infected-neighbor count has reached K.  No push
-    builds edge arrays longer than reps * nc plus one vertex's degree.
+    uninfected entries whose infected-neighbor count has reached K.  No
+    later push builds edge arrays longer than reps * nc plus one vertex's
+    degree.
     """
     reps, nc = K.shape
     size = reps * nc
+    if degree is None:
+        degree = np.diff(indptr)
     K = K.ravel()
-    infected = np.zeros(size, dtype=bool)
-    counts = np.zeros(size, dtype=np.int32)
-    degree = np.diff(indptr)
     cols = np.asarray(seed_cols, dtype=np.int64)
-    frontier = (np.arange(reps)[:, None] * nc + cols).ravel()
+    row = np.bincount(indices[_runs(indptr, cols, degree[cols])], minlength=nc).astype(np.int32)
+    # Seeds start infected, so their counts are never read; -1 keeps them
+    # out of the first frontier.
+    row[cols] = -1
+    touched = np.flatnonzero(row > 0)
+    if touched.size * _DENSE_SHARE < nc:
+        flat = (np.arange(0, size, nc)[:, None] + touched).ravel()
+        counts = np.zeros(size, dtype=np.int32)
+        counts[flat] = hits = np.tile(row[touched], reps)
+        frontier = flat[K[flat] <= hits]
+    else:
+        counts = np.tile(row, reps)
+        frontier = np.flatnonzero(counts >= K)
+    infected = np.zeros(size, dtype=bool)
+    infected.reshape(reps, nc)[:, cols] = True
     infected[frontier] = True
     while frontier.size:
         v = frontier % nc
@@ -365,8 +406,9 @@ class MonteCarloOracle:
     component index, and caches, per component and per (component-local)
     seed set, the integer infected counts of every repetition.  Totals are
     sums of cached integer vectors, so results are bit-identical regardless
-    of query order or parallelism.  calls counts every sigma() invocation,
-    cache hits included.
+    of query order or parallelism.  A seed set already answered is answered
+    again from a memo of whole sets, with one lookup.  calls counts every
+    sigma() invocation, cache hits included.
     """
 
     def __init__(self, graph, model: CascadeModel, cfg: OracleConfig):
@@ -377,13 +419,15 @@ class MonteCarloOracle:
         self._index = graph._component_index()
         self._crn_classes: dict[int, np.ndarray] = {}
         self._memo: dict[tuple, np.ndarray] = {}
+        self._answers: dict[frozenset, SigmaEstimate] = {}
         if cfg.mode == CRN:
             self._theta = _draw_thresholds(generator(DOMAIN_CRN, cfg.master_seed), (cfg.reps, graph.n))
         else:
             self._theta = None
 
-    # Cache bound: totals vectors are cheap to recompute and exact, so the
-    # cache may be dropped wholesale without changing any result.
+    # Bound on each cache: totals vectors and answers are cheap to recompute
+    # and exact, so a cache may be dropped wholesale without changing any
+    # result.
     _MEMO_LIMIT = 200_000
 
     def _classes(self, ci: int, theta: np.ndarray) -> np.ndarray:
@@ -392,7 +436,8 @@ class MonteCarloOracle:
 
     def _batch_sim(self, ci: int, K, seed_cols) -> np.ndarray:
         """Infected count per repetition for one component, one seed set."""
-        infected = _closure(self._index.indptr[ci], self._index.indices[ci], K, seed_cols)
+        index = self._index
+        infected = _closure(index.indptr[ci], index.indices[ci], K, seed_cols, index.degrees[ci])
         return infected.sum(axis=1, dtype=np.int64)
 
     def _crn_totals(self, ci: int, seed_cols: tuple[int, ...]) -> np.ndarray:
@@ -410,6 +455,16 @@ class MonteCarloOracle:
 
     def sigma(self, seeds) -> SigmaEstimate:
         self.calls += 1
+        key = frozenset(map(_vertex_id, seeds))
+        est = self._answers.get(key)
+        if est is None:
+            est = self._estimate(key)
+            if len(self._answers) >= self._MEMO_LIMIT:
+                self._answers.clear()
+            self._answers[key] = est
+        return est
+
+    def _estimate(self, seeds) -> SigmaEstimate:
         groups = self._index.split(seeds)
         reps = self.cfg.reps
         totals = np.zeros(reps, dtype=np.int64)

@@ -16,6 +16,7 @@ seed set) is built from the CSR on first use and cached on the graph.
 
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -182,9 +183,10 @@ class _ComponentIndex:
     def split(self, seeds) -> list[tuple[int, tuple[int, ...]]]:
         """The distinct seeds as (component, sorted local columns), by component.
 
-        Raises ValueError for a seed outside [0, n).
+        Raises ValueError for a seed outside [0, n) or one that is not an
+        integer.
         """
-        seed_list = sorted({int(v) for v in seeds})
+        seed_list = sorted({_vertex_id(v) for v in seeds})
         if seed_list and (seed_list[0] < 0 or seed_list[-1] >= len(self._where)):
             raise ValueError("seed outside vertex range")
         groups: dict[int, list[int]] = {}
@@ -192,6 +194,14 @@ class _ComponentIndex:
             ci, col = self._where[v]
             groups.setdefault(ci, []).append(col)
         return [(ci, tuple(cols)) for ci, cols in sorted(groups.items())]
+
+
+def _vertex_id(v) -> int:
+    """v as an int, through operator.index: 1.5 or "1" raise ValueError, not truncate."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"seed id {v!r} is not an integer") from None
 
 
 def load_edge_list(path) -> Graph:

@@ -376,6 +376,42 @@ def test_kernel_matches_dense_rounds(step, case):
         assert all(c.args[5].sum() < reps * g.n + g.n for c in push.call_args_list)
 
 
+@st.composite
+def _law_cases(draw):
+    g, model, reps, seeds, theta_seed = draw(_kernel_cases())
+    other = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n))
+    return g, model, reps, seeds, sorted(other), theta_seed
+
+
+@pytest.mark.parametrize("step", sorted(_STEP_SHARES))
+@given(case=_law_cases())
+@example(case=(Graph(4, [(0, 1)]), ALL_MODELS[3], 2, [], [], 0))
+# leaves 1 and 2 of a star share the center: it starts round two with two
+# infected neighbors, which twostep turns into a certain activation
+@example(case=(Graph(5, [(0, i) for i in range(1, 5)]), ALL_MODELS[4], 3, [1, 2], [3], 4))
+@example(case=(Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]), ALL_MODELS[3], 4, [0, 1, 2], [3], 5))
+@settings(max_examples=60, deadline=None)
+def test_closure_union_law(step, case):
+    # with the count classes fixed a cascade is a monotone closure, for every
+    # model: closure(S | T) = closure(closure(S) | closure(T)) and
+    # closure(closure(S)) = closure(S), in each repetition
+    g, model, reps, S, T, theta_seed = case
+    theta = 1.0 - np.random.default_rng(theta_seed).random((reps, g.n))
+    K = cascade._count_classes(model, g.degrees, theta)
+    A = g.csr()
+
+    def close(K, seeds):
+        return cascade._closure(A.indptr, A.indices, K, seeds)
+
+    with mock.patch.object(cascade, "_DENSE_SHARE", _STEP_SHARES[step]):
+        cs, ct, cst = close(K, S), close(K, T), close(K, sorted(set(S) | set(T)))
+        for r in range(reps):
+            row = K[r : r + 1]
+            assert np.array_equal(close(row, np.flatnonzero(cs[r] | ct[r]))[0], cst[r])
+            assert np.array_equal(close(row, np.flatnonzero(cs[r]))[0], cs[r])
+    assert (cs <= cst).all() and (ct <= cst).all()
+
+
 # sigma_mc reprs recorded with the earlier kernel, which rebuilt a sparse
 # matrix every round; a kernel change that moves result bytes fails here.
 _PINNED_SIGMA = {
@@ -640,6 +676,78 @@ def test_oracles_reject_seed_outside_graph(query):
     for seeds in ([4], [0, -1], [2, 9]):
         with pytest.raises(ValueError, match="seed outside"):
             ask(seeds)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g, seeds: sigma_mc(g, CascadeModel.ltm(), seeds, OracleConfig(5, 1)),
+        lambda g, seeds: sigma_mc(g, CascadeModel.ltm(), seeds, OracleConfig(5, 1, INDEPENDENT)),
+        lambda g, seeds: sigma_exact(g, CascadeModel.ltm(), seeds),
+        lambda g, seeds: simulate_cascade(g, CascadeModel.ltm(), seeds, np.ones(g.n)),
+    ],
+    ids=["mc-crn", "mc-independent", "exact", "simulate"],
+)
+def test_seed_ids_must_be_integers(query):
+    # ids go through operator.index: 1.5 and "1" are refused, not read as 1
+    g = Graph(4, [(0, 1), (1, 2)])
+    for seeds in ([1.5], ["1"], [0, 1.0], [None]):
+        with pytest.raises(ValueError, match="not an integer"):
+            query(g, seeds)
+    assert query(g, [np.int64(1), np.int32(2)]) == query(g, [1, 2])
+
+
+def test_mc_answer_memo_serves_repeats():
+    g = gen_gnm(30, 50, seed=3)
+    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(40, 11))
+    first = oracle.sigma([4, 9, 17])
+    with (
+        mock.patch.object(oracle._index, "split", wraps=oracle._index.split) as split,
+        mock.patch.object(cascade, "_closure", wraps=cascade._closure) as closure,
+    ):
+        forms = [
+            [17, 4, 9],
+            (9, 17, 4, 9),
+            frozenset({4, 9, 17}),
+            np.array([4, 9, 17]),
+            [np.int64(4), np.int32(9), 17],
+            iter([9, 4, 17]),
+            (v for v in (4, 17, 9)),
+        ]
+        again = [oracle.sigma(seeds) for seeds in forms]
+    assert split.call_count == 0 and closure.call_count == 0
+    assert {repr(est) for est in again} == {repr(first)}
+    assert oracle.calls == 1 + len(forms)
+    assert len(oracle._answers) == 1
+    # 4.0 == 4 as a set member, but a float id is refused, memo or not
+    with pytest.raises(ValueError, match="not an integer"):
+        oracle.sigma([4.0, 9, 17])
+
+
+def test_mc_answer_memo_clears_without_changing_results():
+    g = gen_gnm(30, 50, seed=3)
+    model, cfg = CascadeModel.dicm(0.4, 0.3), OracleConfig(40, 11)
+    sets = [[0], [1, 2], [3, 4, 5], [0], [6], [1, 2], [3, 4, 5]]
+    expected = [repr(MonteCarloOracle(g, model, cfg).sigma(s)) for s in sets]
+    with mock.patch.object(MonteCarloOracle, "_MEMO_LIMIT", 2):
+        oracle = MonteCarloOracle(g, model, cfg)
+        got = []
+        for s in sets:
+            got.append(repr(oracle.sigma(s)))
+            assert len(oracle._answers) <= 2 and len(oracle._memo) <= 2
+    assert got == expected
+    assert oracle.calls == len(sets)
+
+
+def test_config_rejects_non_integers():
+    for reps, master_seed in ((2.5, 1), (True, 1), ("10", 1), (10, 1.5), (10, False), (10, "1"), (10.0, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OracleConfig(reps, master_seed)
+    # numpy integers are accepted and stored as int, so the seed mixing works
+    cfg = OracleConfig(np.int64(10), np.uint32(7))
+    assert cfg == OracleConfig(10, 7) and type(cfg.master_seed) is int
+    g, model = Graph(2, [(0, 1)]), CascadeModel.icm(0.5)
+    assert sigma_mc(g, model, [0], cfg) == sigma_mc(g, model, [0], OracleConfig(10, 7))
 
 
 def test_config_validates():

@@ -1,9 +1,13 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import infmax
 from infmax import FormatError, Graph, load_edge_list, parse_bench_config, read_tree
 from infmax.cli import main
 
@@ -421,3 +425,15 @@ def test_unknown_subcommand_usage_error():
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    # no console script needed: python -m infmax reaches the same parser
+    src = str(Path(infmax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "infmax", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert "maximize" in out.stdout
+    assert out.stderr == ""
