@@ -9,6 +9,8 @@ runs reproducible bit for bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -48,5 +50,19 @@ def seeds_digest(seeds) -> int:
 
 
 def generator(*key_parts: int) -> np.random.Generator:
-    """Philox generator keyed by a mix of the given integers."""
-    return np.random.Generator(np.random.Philox(key=mix64(*key_parts)))
+    """Philox generator keyed by a mix of the given integers.
+
+    Each part goes through operator.index, so a seed of 1.5, "1" or True
+    raises ValueError instead of being truncated or read as 1.
+    """
+    return np.random.Generator(np.random.Philox(key=mix64(*map(_key_part, key_parts))))
+
+
+def _key_part(v) -> int:
+    # bool is an int subclass, but True is no seed.
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"seed {v!r} is not an integer")

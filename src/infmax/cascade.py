@@ -211,19 +211,29 @@ def _count_classes(model: CascadeModel, degrees: np.ndarray, theta: np.ndarray, 
     reaches K.  K = #{c : f(c) < theta}, which is
     searchsorted(f_table(d), theta, side="left") bit for bit; degrees are
     those of the selected columns.  theta in (0, 1] gives K in [1, d+1] and
-    K = d+1 never fires; theta = 0 gives K = 0.
+    K = d+1 never fires; theta = 0 gives K = 0.  The bucket table is built
+    for this call; _map_classes takes one built before.
+    """
+    return _map_classes(_class_table(model, degrees), degrees, theta, cols)
+
+
+def _class_table(model: CascadeModel, degrees: np.ndarray) -> tuple:
+    """The bucket table of every distinct degree in degrees, for _map_classes.
 
     The bucket rule, with B = _BUCKETS: below[d][b] = #{c : f(c) < b/B}.
     Since f(c) * B is exact and b an integer, f(c) < b/B holds exactly when
     floor(f(c) * B) + 1 <= b, so one bincount and one cumsum build every
     row.  f_table(d) is nondecreasing, so a threshold in bucket
     b = floor(theta * B) has K in [below[d][b], below[d][b+1]]; theta = 1
-    falls in bucket B, so a row needs B + 2 columns.  When the two ends are
-    equal K is that value.  Otherwise a bisection of the table between
-    them compares f(c) * B with theta * B, both exact, so it makes the same
-    < comparisons as searchsorted.
+    falls in bucket B, so a row needs B + 2 columns.  Each degree's row and
+    table depend on that degree alone, so a table over more degrees maps
+    the same K.
+
+    Returns (base, start, code, scaled): code holds the rows end to end and
+    scaled every f_table(d) * B end to end; degree d's row begins at
+    code[base[d]] and its table at scaled[start[d]].
     """
-    uniq, row = np.unique(degrees, return_inverse=True)
+    uniq = np.unique(degrees)
     tables = [model.f_table(int(d)) for d in uniq]
     sizes = np.array([t.size for t in tables], dtype=np.intp)
     # f * B for every table, end to end, plus one entry that a finished
@@ -237,9 +247,24 @@ def _count_classes(model: CascadeModel, degrees: np.ndarray, theta: np.ndarray, 
     # code[d][b] is below[d][b], or its complement ~below[d][b] (negative)
     # when bucket b holds a table entry.
     np.invert(code[:, :-1], out=code[:, :-1], where=code[:, :-1] != code[:, 1:])
-    code = code.ravel()
-    row_base = row * width
-    row_start = (np.cumsum(sizes) - sizes)[row]
+    base = np.zeros(int(uniq.max(initial=-1)) + 1, dtype=np.intp)
+    start = np.zeros_like(base)
+    base[uniq] = np.arange(uniq.size) * width
+    start[uniq] = np.cumsum(sizes) - sizes
+    return base, start, code.ravel(), scaled
+
+
+def _map_classes(table: tuple, degrees: np.ndarray, theta: np.ndarray, cols=None) -> np.ndarray:
+    """_count_classes through a bucket table from _class_table that covers degrees.
+
+    When the two ends of a threshold's bucket are equal K is that value.
+    Otherwise a bisection of the table between them compares f(c) * B with
+    theta * B, both exact, so it makes the same < comparisons as
+    searchsorted.
+    """
+    base, start, code, scaled = table
+    row_base = base[degrees]
+    row_start = start[degrees]
 
     rows = np.atleast_2d(theta)
     if cols is None:
@@ -430,9 +455,17 @@ class MonteCarloOracle:
     # result.
     _MEMO_LIMIT = 200_000
 
+    # Bound on the bucket tables one component index keeps, one per model.
+    _TABLE_LIMIT = 16
+
     def _classes(self, ci: int, theta: np.ndarray) -> np.ndarray:
         index = self._index
-        return _count_classes(self.model, index.degrees[ci], theta, index.members[ci])
+        table = index.class_tables.get(self.model)
+        if table is None:
+            if len(index.class_tables) >= self._TABLE_LIMIT:
+                index.class_tables.clear()
+            table = index.class_tables[self.model] = _class_table(self.model, self.graph.degrees)
+        return _map_classes(table, index.degrees[ci], theta, index.members[ci])
 
     def _batch_sim(self, ci: int, K, seed_cols) -> np.ndarray:
         """Infected count per repetition for one component, one seed set."""

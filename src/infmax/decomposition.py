@@ -407,35 +407,41 @@ def build_bisection(graph, seed: int) -> HierarchyTree:
     chosen from a few seeded BFS starts by cut size, then improved by
     balance-preserving single swaps while they strictly reduce the cut.
 
-    Each split works on its subgraph as raw CSR arrays in local columns; a
+    A large split works on its subgraph as raw CSR arrays in local columns; a
     child's arrays are the parent's, masked and renumbered.  Each vertex's
     cut change from switching sides is kept incrementally: a swap changes it
     only for the two swapped vertices' neighbors (Fiduccia-Mattheyses
     bookkeeping).  Swap candidates are ranked by gain, then by smallest local
-    id, and the first strictly best pair wins.
+    id, and the first strictly best pair wins.  Once a subgraph has at most
+    _SMALL_SPLIT vertices its arrays become Python lists, and it and all of
+    its descendants are split on those lists by the same rules and the same
+    draws (_bisect_small), which spares the numpy call overhead that
+    dominates tiny splits; the trees are the same either way.
     """
+    rng = generator(DOMAIN_TREE_BISECTION, seed)  # validates the seed
     n = graph.n
     if n < 2:  # n = 0 fails the tree's own node-count check
         return HierarchyTree([-1] * n, range(n))
-    rng = generator(DOMAIN_TREE_BISECTION, seed)
     A = graph.csr()
 
-    def split(ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-        side = _bisect_once(indptr, indices, rng)
-        halves = []
-        for part in (side, ~side):
-            sub = ids[part]
-            if sub.size == 1:
-                halves.append(int(sub[0]))
-            else:
-                halves.append(split(sub, *_restrict(indptr, indices, part)))
-        return tuple(halves)
+    def split(ids, ptr, nbr):
+        if isinstance(ids, np.ndarray) and ids.size <= _SMALL_SPLIT:
+            ids, ptr, nbr = ids.tolist(), ptr.tolist(), nbr.tolist()
+        if isinstance(ids, list):
+            side = _bisect_small(ptr, nbr, rng)
+            parts = (_restrict_small(ids, ptr, nbr, side, want) for want in (True, False))
+        else:
+            side = _bisect_once(ptr, nbr, rng)
+            parts = ((ids[keep], *_restrict(ptr, nbr, keep)) for keep in (side, ~side))
+        return tuple(int(sub[0]) if len(sub) == 1 else split(sub, *csr) for sub, *csr in parts)
 
     return tree_from_nested(split(np.arange(n), A.indptr, A.indices))
 
 
 _BISECT_STARTS = 3
 _BISECT_SWAPS = 64
+# Subgraphs of at most this many vertices are split on Python lists.
+_SMALL_SPLIT = 32
 
 
 def _restrict(indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray):
@@ -528,6 +534,68 @@ def _bisect_once(indptr: np.ndarray, indices: np.ndarray, rng) -> np.ndarray:
         loss[indices[ptr[u] : ptr[u + 1]]] -= 2
         loss[indices[ptr[v] : ptr[v + 1]]] += 2
     return side
+
+
+def _bisect_small(ptr: list, nbr: list, rng) -> list:
+    """_bisect_once on a CSR subgraph held in Python lists; side as a list of bools.
+
+    The same draw, BFS regions, first smallest cut, and swap candidates: each
+    side's 8 best by (loss, id) on the left and (-loss, id) on the right, the
+    order argpartition gives _bisect_once, since the keys are distinct.
+    """
+    s = len(ptr) - 1
+    target = (s + 1) // 2
+    best_cut = math.inf
+    for start in rng.choice(s, size=min(_BISECT_STARTS, s), replace=False).tolist():
+        region = _grow(ptr, nbr, start, target)
+        left = [False] * s
+        for w in region:
+            left[w] = True
+        cut = sum([not left[x] for w in region for x in nbr[ptr[w] : ptr[w + 1]]])
+        if cut < best_cut:
+            best_cut, side = cut, left
+        if not cut:  # no later start can cut less, and no swap can gain
+            return side
+    # loss[w] = (neighbors on the left) - (neighbors on the right)
+    loss = [sum([1 if side[x] else -1 for x in nbr[ptr[w] : ptr[w + 1]]]) for w in range(s)]
+    for _ in range(_BISECT_SWAPS):
+        ka = sorted([(loss[w], w) for w in range(s) if side[w]])[:8]
+        kb = sorted([(-loss[w], w) for w in range(s) if not side[w]])[:8]
+        if ka[0][0] + kb[0][0] >= 0:  # no pair can gain
+            break
+        swap = None
+        swap_gain = 0
+        for la, u in ka:
+            adj = set(nbr[ptr[u] : ptr[u + 1]])
+            for lb, v in kb:
+                g = -la - lb - 2 * (v in adj)
+                if g > swap_gain:
+                    swap_gain, swap = g, (u, v)
+        if swap is None:
+            break
+        u, v = swap
+        side[u] = False
+        side[v] = True
+        for x in nbr[ptr[u] : ptr[u + 1]]:
+            loss[x] -= 2
+        for x in nbr[ptr[v] : ptr[v + 1]]:
+            loss[x] += 2
+    return side
+
+
+def _restrict_small(ids: list, ptr: list, nbr: list, side: list, want: bool):
+    """(ids, ptr, nbr) of the subgraph on the w with side[w] == want, columns
+    renumbered in order, as _restrict does on arrays."""
+    keep = [w for w, s in enumerate(side) if s == want]
+    local = [0] * len(side)
+    for i, w in enumerate(keep):
+        local[w] = i
+    sub_ptr = [0]
+    sub_nbr: list[int] = []
+    for w in keep:
+        sub_nbr += [local[x] for x in nbr[ptr[w] : ptr[w + 1]] if side[x] == want]
+        sub_ptr.append(len(sub_nbr))
+    return [ids[w] for w in keep], sub_ptr, sub_nbr
 
 
 def dasgupta_cost(graph, tree: HierarchyTree) -> int:

@@ -154,7 +154,9 @@ class _ComponentIndex:
     order, and indptr[ci], indices[ci] and degrees[ci] are its adjacency in
     local columns: the graph's CSR rows of members[ci], remapped through
     local.  members, indices and degrees are read-only views of arrays that
-    all components share.
+    all components share.  class_tables holds, per cascade model, the
+    count-class bucket table over the graph's distinct degrees that the
+    Monte Carlo oracle builds on first use (cascade.py).
     """
 
     def __init__(self, csr):
@@ -179,6 +181,7 @@ class _ComponentIndex:
             self.indices.append(indices[indptr[lo]:indptr[hi]])
             self.degrees.append(degree[lo:hi])
         self._where = list(zip(labels.tolist(), local.tolist()))
+        self.class_tables: dict = {}
 
     def split(self, seeds) -> list[tuple[int, tuple[int, ...]]]:
         """The distinct seeds as (component, sorted local columns), by component.

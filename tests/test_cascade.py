@@ -739,6 +739,36 @@ def test_mc_answer_memo_clears_without_changing_results():
     assert oracle.calls == len(sets)
 
 
+def test_class_table_cached_per_model():
+    # one table per model over the graph's distinct degrees, shared by all
+    # components and all oracles on the graph; K equals a per-component build
+    g = gen_gnm(60, 30, seed=4)
+    index = g._component_index()
+    assert len(index.members) > 20
+    cfg = OracleConfig(30, 5)
+    icm = CascadeModel.icm(0.4)
+    for model in (icm, CascadeModel.icm(0.4), CascadeModel.ltm()):
+        oracle = MonteCarloOracle(g, model, cfg)
+        oracle.sigma(range(g.n))
+        for ci in range(len(index.members)):
+            expected = cascade._count_classes(model, index.degrees[ci], oracle._theta, index.members[ci])
+            assert np.array_equal(oracle._crn_classes[ci], expected)
+    assert list(index.class_tables) == [icm, CascadeModel.ltm()]
+
+
+def test_class_table_cache_clears_without_changing_results():
+    g = gen_gnm(40, 60, seed=12)
+    cfg = OracleConfig(50, 3, INDEPENDENT)
+    expected = [repr(sigma_mc(g, model, [0, 7, 13], cfg)) for model in ALL_MODELS]
+    g = gen_gnm(40, 60, seed=12)
+    with mock.patch.object(MonteCarloOracle, "_TABLE_LIMIT", 2):
+        got = []
+        for model in ALL_MODELS:
+            got.append(repr(sigma_mc(g, model, [0, 7, 13], cfg)))
+            assert len(g._component_index().class_tables) <= 2
+    assert got == expected
+
+
 def test_config_rejects_non_integers():
     for reps, master_seed in ((2.5, 1), (True, 1), ("10", 1), (10, 1.5), (10, False), (10, "1"), (10.0, 1)):
         with pytest.raises(ValueError, match="must be an integer"):

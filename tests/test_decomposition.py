@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infmax import decomposition
+from infmax._rng import DOMAIN_TREE_BISECTION, generator
 from infmax import (
     CapacityError,
     ConsistencyError,
@@ -135,6 +137,54 @@ def test_builders_handle_single_vertex(name):
     assert t == tree_from_nested(0)
 
 
+@st.composite
+def _star_or_disconnected(draw, max_n=40):
+    """A star (center anywhere, possibly edgeless) or a graph whose edges stay
+    inside randomly drawn blocks, so that it has several components."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        center = draw(st.integers(0, n - 1))
+        leaves = draw(st.lists(st.integers(0, n - 1), unique=True))
+        return Graph(n, [(center, v) for v in leaves if v != center])
+    block = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if block[u] == block[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=80)) if pairs else []
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("name", list(BUILDERS), ids=str)
+@given(_star_or_disconnected())
+@settings(max_examples=25, deadline=None)
+def test_builders_handle_stars_and_disconnected_graphs(name, g):
+    _check_valid(BUILDERS[name](g), g.n)
+
+
+@given(
+    _star_or_disconnected(max_n=decomposition._SMALL_SPLIT).filter(lambda g: g.n >= 2)
+    | st.integers(2, decomposition._SMALL_SPLIT).flatmap(
+        lambda n: st.builds(gen_gnm, st.just(n), st.integers(0, min(80, n * (n - 1) // 2)), st.integers(0, 99))
+    ),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_small_split_matches_array_split(g, seed):
+    # the list path draws the same starts and keeps the same side, leaves
+    # the stream where the array path leaves it, and restricts the same way
+    A = g.csr()
+    rng_a = generator(DOMAIN_TREE_BISECTION, seed)
+    rng_l = generator(DOMAIN_TREE_BISECTION, seed)
+    side = decomposition._bisect_once(A.indptr, A.indices, rng_a)
+    ptr, nbr = A.indptr.tolist(), A.indices.tolist()
+    assert decomposition._bisect_small(ptr, nbr, rng_l) == side.tolist()
+    assert rng_a.integers(2**62) == rng_l.integers(2**62)
+    ids = list(range(100, 100 + g.n))
+    for want, keep in ((True, side), (False, ~side)):
+        sub_ids, sub_ptr, sub_nbr = decomposition._restrict_small(ids, ptr, nbr, side.tolist(), want)
+        sub_indptr, sub_indices = decomposition._restrict(A.indptr, A.indices, keep)
+        assert sub_ids == (np.arange(100, 100 + g.n)[keep]).tolist()
+        assert (sub_ptr, sub_nbr) == (sub_indptr.tolist(), sub_indices.tolist())
+
+
 def test_random_builders_reproducible():
     g = gen_gnm(20, 40, seed=9)
     assert build_random_pair(g, 3) == build_random_pair(g, 3)
@@ -214,6 +264,12 @@ def _bisection_pin_graphs():
         "star": Graph(12, [(0, v) for v in range(1, 12)]),
         "path-300": Graph(300, [(v, v + 1) for v in range(299)]),
         "edgeless-9": Graph(9, []),
+        # splits that straddle the small-subgraph threshold of 32 vertices
+        "path-33": Graph(33, [(v, v + 1) for v in range(32)]),
+        "k33": Graph(33, [(a, b) for a in range(33) for b in range(a + 1, 33)]),
+        "gnm-65-150": gen_gnm(65, 150, seed=3),
+        "gnm-70-40": gen_gnm(70, 40, seed=5),
+        "star-40": Graph(40, [(0, v) for v in range(1, 40)]),
     }
 
 
@@ -228,6 +284,11 @@ _BISECTION_PINS = {
     "star": "7c98ee046ae614c3247a11765801c00033e93f28c7b341c05d765ef7c9ab7791",
     "path-300": "c5dbe9fab519f8ffca715887890425e1d20690b7acac95fe8678e75bdcba1eca",
     "edgeless-9": "ef594d627d3d138fe589d298adc612a50fa763677e39fca952fd99fa2fceb560",
+    "path-33": "a32c735d1d89890837e27598799f372ccb06ea3e9f747f7b96d3fa989e813fe3",
+    "k33": "dab9fe6b153e09ecaab202ff913ffcb0787c965d162ef8d937e8c3713e2da0b6",
+    "gnm-65-150": "8e78d46f334d5ec64aa342e707c20b7bda4939e3075ab8231c91b12f223d921e",
+    "gnm-70-40": "e459beb18b2c621eaca3697c43a62513f306a24d0b881713630f29add9cce61c",
+    "star-40": "c30a6f505c49f64d24ff76931b2be16e7e82ca4d1b393a2dfc7a53a72704e7dd",
 }
 
 
@@ -241,6 +302,25 @@ def test_bisection_pinned():
             h.update(t._leaf_vertex.tobytes())
         got[name] = h.hexdigest()
     assert got == _BISECTION_PINS
+
+
+def test_seeds_must_be_integers():
+    g = gen_gnm(10, 12, seed=1)
+    calls = [
+        lambda seed: build_bisection(g, seed),
+        lambda seed: build_bisection(Graph(1, []), seed),  # before the n < 2 return
+        lambda seed: build_random_pair(g, seed),
+        lambda seed: build_random_edge(g, seed),
+        lambda seed: gen_gnm(10, 12, seed),
+        lambda seed: gen_hierarchical(3, 4, 2, seed),
+    ]
+    for call in calls:
+        for seed in (1.5, "1", True, None, np.float64(1.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="not an integer"):
+                call(seed)
+    # numpy integers key the same stream as the int
+    assert build_bisection(g, np.int64(7)) == build_bisection(g, 7)
+    assert gen_gnm(10, 12, np.uint32(3)) == gen_gnm(10, 12, 3)
 
 
 def test_jaccard_capacity_guard():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,30 @@ def test_reproducible():
     c, _ = gen_hierarchical(5, 7, 4, seed=34)
     assert a == b and ta == tb
     assert a != c
+
+
+# sha256 of the sorted edge lists (int64 pairs) at seeds 1 and 20261017;
+# (5, 2, 1) takes the uniform branch of an all-zero-weight step 15 and 6
+# times, the other two never
+_HIERARCHICAL_PINS = {
+    (8, 15, 15): "31bd827a99f2dd16eec51a14583862b17c69629eac11619c289fc653149ac9cf",
+    (4, 6, 4): "d2ffdc1c16dbba79ecbc377d425628fdaebdb4d6e5a8171e1ce28fc71b8283e5",
+    (5, 2, 1): "6ecf90df073402d5d12be234e5b45b52cd840cb81a598276d39ba8c76b6535b8",
+}
+
+
+def test_hierarchical_pinned():
+    # the walks draw one scalar at a time; a batched draw must give the same
+    # edges
+    got = {}
+    for args in _HIERARCHICAL_PINS:
+        h = hashlib.sha256()
+        for seed in (1, 20261017):
+            g, _ = gen_hierarchical(*args, seed)
+            edges = sorted(map(tuple, g.edge_array.tolist()))
+            h.update(np.array(edges, dtype=np.int64).tobytes())
+        got[args] = h.hexdigest()
+    assert got == _HIERARCHICAL_PINS
 
 
 def test_simple_undirected_output():
