@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, FormatError
+from .graph import _vertex_id
 from ._rng import (
     DOMAIN_TREE_BISECTION,
     DOMAIN_TREE_RANDOM_EDGE,
@@ -32,17 +33,24 @@ class HierarchyTree:
     leaf_vertex : sequence of int
         Graph vertex id per leaf node, -1 for internal nodes.
 
-    Structural violations raise FormatError.
+    Structural violations, and ids that are not integers, raise FormatError.
+
+    In the leaf order, T(x) holds leaf positions _lo[x] .. _lo[x] + size(x) - 1.
+    Internal node x owns the gap between its left child's last leaf and its
+    right child's first; each of the n - 1 gaps has exactly one owner.
     """
 
     def __init__(self, parents, leaf_vertex):
-        parents = np.asarray(list(parents), dtype=np.int64)
-        leaf_vertex = np.asarray(list(leaf_vertex), dtype=np.int64)
+        parents, leaf_vertex = (np.asarray(list(ids)) for ids in (parents, leaf_vertex))
         count = parents.shape[0]
         if count % 2 != 1 or count < 1:
             raise FormatError(f"node count must be odd (2n-1), got {count}")
         if leaf_vertex.shape[0] != count:
             raise FormatError("parents and leaf_vertex lengths differ")
+        for ids in (parents, leaf_vertex):
+            if ids.dtype.kind not in "iu" or not np.can_cast(ids.dtype, np.int64):
+                raise FormatError(f"node and vertex ids must be integers, got {ids.dtype}")
+        parents, leaf_vertex = parents.astype(np.int64), leaf_vertex.astype(np.int64)
         n = (count + 1) // 2
         roots = np.flatnonzero(parents == -1)
         if roots.size != 1:
@@ -86,30 +94,26 @@ class HierarchyTree:
 
         sizes = [1] * count
         heights = [0] * count
-        depth = [0] * count
+        lo = [0] * count
         for node in reversed(order):  # children first
             a, b = left[node], right[node]
             if a >= 0:
                 sizes[node] = sizes[a] + sizes[b]
                 heights[node] = 1 + max(heights[a], heights[b])
-        for node in order:
+        for node in order:  # parents first
             a, b = left[node], right[node]
             if a >= 0:
-                depth[a] = depth[b] = depth[node] + 1
+                lo[a] = lo[node]
+                lo[b] = lo[node] + sizes[a]
 
         self._n = n
         self._parents = parents
         self._leaf_vertex = leaf_vertex
         self._root = int(roots[0])
-        self._left, self._right, self._sizes, self._heights, self._depth = per_node = [
-            np.array(x, dtype=np.int64) for x in (left, right, sizes, heights, depth)
+        self._left, self._right, self._sizes, self._heights, self._lo = per_node = [
+            np.array(x, dtype=np.int64) for x in (left, right, sizes, heights, lo)
         ]
-        leaf_of = np.full(n, -1, dtype=np.int64)
-        leaf_nodes = np.flatnonzero(is_leaf)
-        leaf_of[leaf_vertex[leaf_nodes]] = leaf_nodes
-        self._leaf_of = leaf_of
-        self._up = None
-        for arr in (parents, leaf_vertex, leaf_of, *per_node):
+        for arr in (parents, leaf_vertex, *per_node):
             arr.setflags(write=False)
 
     @property
@@ -139,15 +143,9 @@ class HierarchyTree:
     def leaf_vertex(self, node: int) -> int:
         return int(self._leaf_vertex[node])
 
-    def leaf_of_vertex(self, vertex: int) -> int:
-        return int(self._leaf_of[vertex])
-
     def size(self, node: int) -> int:
         """Leaf count of the subtree rooted at node."""
         return int(self._sizes[node])
-
-    def height(self, node: int) -> int:
-        return int(self._heights[node])
 
     @property
     def tree_height(self) -> int:
@@ -155,49 +153,6 @@ class HierarchyTree:
 
     def nodes_at_height(self, h: int) -> np.ndarray:
         return np.flatnonzero(self._heights == h)
-
-    def leaf_set(self, node: int) -> frozenset[int]:
-        """Vertex ids under node."""
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if self._left[cur] < 0:
-                out.append(int(self._leaf_vertex[cur]))
-            else:
-                stack.append(int(self._left[cur]))
-                stack.append(int(self._right[cur]))
-        return frozenset(out)
-
-    def _lift_table(self) -> np.ndarray:
-        if self._up is None:
-            count = self.node_count
-            logn = max(1, int(math.ceil(math.log2(max(2, count)))))
-            up = np.empty((logn, count), dtype=np.int64)
-            up[0] = np.where(self._parents >= 0, self._parents, np.arange(count))
-            for j in range(1, logn):
-                up[j] = up[j - 1][up[j - 1]]
-            self._up = up
-        return self._up
-
-    def lca(self, a, b) -> np.ndarray:
-        """Elementwise lowest common ancestor of node-id arrays."""
-        up = self._lift_table()
-        depth = self._depth
-        a = np.asarray(a, dtype=np.int64).copy()
-        b = np.asarray(b, dtype=np.int64).copy()
-        swap = depth[a] < depth[b]
-        a[swap], b[swap] = b[swap], a[swap]
-        diff = depth[a] - depth[b]
-        for j in range(up.shape[0]):
-            lift = (diff >> j & 1).astype(bool)
-            a[lift] = up[j][a[lift]]
-        done = a == b
-        for j in range(up.shape[0] - 1, -1, -1):
-            move = ~done & (up[j][a] != up[j][b])
-            a[move] = up[j][a[move]]
-            b[move] = up[j][b[move]]
-        return np.where(done, a, up[0][a])
 
     def __eq__(self, other):
         if not isinstance(other, HierarchyTree):
@@ -233,7 +188,7 @@ def tree_from_nested(nested) -> HierarchyTree:
             leaves.append(-1)
             stack += [(spec[1], me), (spec[0], me)]
         else:
-            leaves.append(int(spec))
+            leaves.append(_vertex_id(spec))
     return HierarchyTree(parents, leaves)
 
 
@@ -513,19 +468,8 @@ def _bisect_once(indptr: np.ndarray, indices: np.ndarray, rng) -> np.ndarray:
         order = np.argpartition(np.where(side, loss, 2 * s - loss) * s + ids, ranks)
         ka = order[: min(8, target)]
         kb = order[target : target + 8]
-        gain_a = (-loss[ka]).tolist()
-        gain_b = loss[kb].tolist()
-        if gain_a[0] + gain_b[0] <= 0:  # no pair can gain
-            break
-        cand_b = list(zip(kb.tolist(), gain_b))
-        swap = None
-        swap_gain = 0
-        for u, ga in zip(ka.tolist(), gain_a):
-            adj = set(nbr[ptr[u] : ptr[u + 1]])
-            for v, gb in cand_b:
-                g = ga + gb - 2 * (v in adj)
-                if g > swap_gain:
-                    swap_gain, swap = g, (u, v)
+        gain_a, gain_b = (-loss[ka]).tolist(), loss[kb].tolist()
+        swap = _best_swap(ptr, nbr, list(zip(ka.tolist(), gain_a)), list(zip(kb.tolist(), gain_b)))
         if swap is None:
             break
         u, v = swap
@@ -561,16 +505,7 @@ def _bisect_small(ptr: list, nbr: list, rng) -> list:
     for _ in range(_BISECT_SWAPS):
         ka = sorted([(loss[w], w) for w in range(s) if side[w]])[:8]
         kb = sorted([(-loss[w], w) for w in range(s) if not side[w]])[:8]
-        if ka[0][0] + kb[0][0] >= 0:  # no pair can gain
-            break
-        swap = None
-        swap_gain = 0
-        for la, u in ka:
-            adj = set(nbr[ptr[u] : ptr[u + 1]])
-            for lb, v in kb:
-                g = -la - lb - 2 * (v in adj)
-                if g > swap_gain:
-                    swap_gain, swap = g, (u, v)
+        swap = _best_swap(ptr, nbr, [(u, -la) for la, u in ka], [(v, -lb) for lb, v in kb])
         if swap is None:
             break
         u, v = swap
@@ -581,6 +516,23 @@ def _bisect_small(ptr: list, nbr: list, rng) -> list:
         for x in nbr[ptr[v] : ptr[v + 1]]:
             loss[x] += 2
     return side
+
+
+def _best_swap(ptr, nbr, left: list, right: list):
+    """The first strictly best swap (u, v) of a left and a right candidate,
+    from (vertex, gain) lists ordered best first, scored gain_u + gain_v
+    less 2 when u and v are adjacent; None when no pair gains."""
+    if left[0][1] + right[0][1] <= 0:  # no pair can gain
+        return None
+    swap = None
+    swap_gain = 0
+    for u, gu in left:
+        adj = set(nbr[ptr[u] : ptr[u + 1]])
+        for v, gv in right:
+            g = gu + gv - 2 * (v in adj)
+            if g > swap_gain:
+                swap_gain, swap = g, (u, v)
+    return swap
 
 
 def _restrict_small(ids: list, ptr: list, nbr: list, side: list, want: bool):
@@ -599,7 +551,12 @@ def _restrict_small(ids: list, ptr: list, nbr: list, side: list, want: bool):
 
 
 def dasgupta_cost(graph, tree: HierarchyTree) -> int:
-    """Sum over edges of the leaf count of the smallest common subtree."""
+    """Sum over edges of the leaf count of the smallest common subtree.
+
+    For an edge at leaf positions p < q, the owners of gaps p .. q - 1 (see
+    HierarchyTree) all lie in that subtree and include its root, so its leaf
+    count is their largest size: two lookups in a doubling range-max table.
+    """
     if tree.n_leaves != graph.n:
         raise ConsistencyError(
             f"tree has {tree.n_leaves} leaves but graph has {graph.n} vertices"
@@ -607,10 +564,19 @@ def dasgupta_cost(graph, tree: HierarchyTree) -> int:
     edges = graph.edge_array
     if edges.shape[0] == 0:
         return 0
-    a = tree._leaf_of[edges[:, 0]]
-    b = tree._leaf_of[edges[:, 1]]
-    anc = tree.lca(a, b)
-    return int(tree._sizes[anc].sum())
+    lo, sizes, left = tree._lo, tree._sizes, tree._left
+    leaves, inner = np.flatnonzero(left < 0), np.flatnonzero(left >= 0)
+    pos = np.empty(graph.n, dtype=np.int64)
+    pos[tree._leaf_vertex[leaves]] = lo[leaves]
+    p, q = np.sort(pos[edges], axis=1).T
+    level = np.frexp(q - p)[1] - 1  # floor(log2(q - p)), exact for integers
+    # span[j, i] = max of the owner sizes of gaps i .. i + 2**j - 1
+    span = np.zeros((int(level.max()) + 1, graph.n - 1), dtype=np.int64)
+    span[0, lo[inner] + sizes[left[inner]] - 1] = sizes[inner]
+    for j in range(1, span.shape[0]):
+        h = 1 << (j - 1)
+        np.maximum(span[j - 1, :-h], span[j - 1, h:], out=span[j, :-h])
+    return int(np.maximum(span[level, p], span[level, q - (1 << level)]).sum())
 
 
 def write_tree(tree: HierarchyTree, path) -> None:

@@ -204,7 +204,7 @@ def _vertex_id(v) -> int:
     try:
         return operator.index(v)
     except TypeError:
-        raise ValueError(f"seed id {v!r} is not an integer") from None
+        raise ValueError(f"vertex id {v!r} is not an integer") from None
 
 
 def load_edge_list(path) -> Graph:

@@ -176,6 +176,11 @@ def dpim(graph, tree: HierarchyTree, model, k: int, cfg) -> SeedSet:
     return _search(graph, model, k, cfg, search, tree)
 
 
+def _check_node(tree: HierarchyTree, node: int) -> None:
+    if not 0 <= node < tree.node_count:
+        raise ValueError(f"node {node} is outside the tree")
+
+
 class AllocationTable:
     """Split advice A(node, direction pair, budget) -> (into first, into second).
 
@@ -194,8 +199,7 @@ class AllocationTable:
         dpair = tuple(dpair)
         if dpair not in DIRECTION_PAIRS:
             raise ValueError(f"bad direction pair {dpair!r}")
-        if not 0 <= node < self._tree.node_count:
-            raise ValueError(f"node {node} is outside the tree")
+        _check_node(self._tree, node)
         if not 0 <= ell <= self.k:
             raise ValueError(f"budget {ell} is outside 0..{self.k}")
         return (node, dpair, ell)
@@ -230,6 +234,7 @@ def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair
     The walk keeps an explicit stack of (node, dpair, ell) steps, so its
     depth is not bounded by Python's recursion limit.
     """
+    _check_node(tree, node)
     found: list[int] = []
     stack = [(node, tuple(dpair), ell)]
     while stack:
@@ -282,6 +287,7 @@ def mpa_update(graph, tree: HierarchyTree, model, k: int, cfg, table: Allocation
     dpair = tuple(dpair)
     if dpair not in DIRECTION_PAIRS:
         raise ValueError(f"bad direction pair {dpair!r}")
+    _check_node(tree, node)
     if tree.is_leaf(node):
         raise ValueError("updates apply to internal nodes only")
     _update(_make_oracle(graph, model, cfg), tree, k, table, node, dpair)

@@ -2,8 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from tree_helpers import leaf_set
 
 from infmax import decomposition
 from infmax._rng import DOMAIN_TREE_BISECTION, generator
@@ -37,7 +38,7 @@ BUILDERS = {
 def _check_valid(tree, n):
     assert tree.n_leaves == n
     assert tree.node_count == 2 * n - 1
-    assert tree.leaf_set(tree.root) == frozenset(range(n))
+    assert leaf_set(tree, tree.root) == frozenset(range(n))
     for node in range(tree.node_count):
         if tree.is_leaf(node):
             assert tree.size(node) == 1
@@ -45,7 +46,7 @@ def _check_valid(tree, n):
             l, r = tree.left(node), tree.right(node)
             assert tree.parent(l) == node and tree.parent(r) == node
             assert tree.size(node) == tree.size(l) + tree.size(r)
-            assert not (tree.leaf_set(l) & tree.leaf_set(r))
+            assert not (leaf_set(tree, l) & leaf_set(tree, r))
 
 
 # ---------------------------------------------------------------- tree type
@@ -54,8 +55,8 @@ def _check_valid(tree, n):
 def test_nested_literal():
     tree = tree_from_nested(((0, 1), 2))
     _check_valid(tree, 3)
-    assert tree.leaf_set(tree.left(tree.root)) == {0, 1}
-    assert tree.leaf_set(tree.right(tree.root)) == {2}
+    assert leaf_set(tree, tree.left(tree.root)) == {0, 1}
+    assert leaf_set(tree, tree.right(tree.root)) == {2}
 
 
 def test_single_leaf_tree():
@@ -64,35 +65,45 @@ def test_single_leaf_tree():
     assert tree.is_leaf(tree.root)
 
 
+def _caterpillar(n):
+    """The nested spec (((0, 1), 2), ..., n - 1)."""
+    spec = 0
+    for v in range(1, n):
+        spec = (spec, v)
+    return spec
+
+
 def test_nested_deeper_than_recursion_limit():
     # caterpillar (((0, 1), 2), ..., 1499): internal nodes 0..1498 down the
     # spine in preorder, then leaf 0, then leaf v as the right child of 1499 - v
-    spec = 0
-    for v in range(1, 1500):
-        spec = (spec, v)
-    tree = tree_from_nested(spec)
+    tree = tree_from_nested(_caterpillar(1500))
     _check_valid(tree, 1500)
     assert tree.tree_height == 1499
-    assert tree.leaf_of_vertex(0) == 1499
+    assert tree.is_leaf(1499) and tree.leaf_vertex(1499) == 0
     for v in (1, 2, 1499):
-        assert tree.leaf_of_vertex(v) == 1499 + v
+        assert tree.is_leaf(1499 + v) and tree.leaf_vertex(1499 + v) == v
         assert tree.parent(1499 + v) == 1499 - v
 
 
+def test_nested_leaves_must_be_integers():
+    for spec in (((0, 1.7), 2), [0, 1], ((0, "1"), 2), ((0, None), 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            tree_from_nested(spec)
+    assert tree_from_nested(((0, np.int64(1)), 2)) == tree_from_nested(((0, 1), 2))
+
+
 def test_lca_and_sizes():
+    # each edge pays the leaf count of its smallest common subtree
     tree = tree_from_nested((((0, 1), (2, 3)), (4, 5)))
-    la = tree.leaf_of_vertex
-    anc = tree.lca(np.array([la(0), la(0), la(4)]), np.array([la(1), la(3), la(5)]))
-    assert tree.size(int(anc[0])) == 2
-    assert tree.size(int(anc[1])) == 4
-    assert tree.size(int(anc[2])) == 2
-    assert int(tree.lca(np.array([la(0)]), np.array([la(5)]))[0]) == tree.root
+    edges = [(0, 1), (0, 3), (4, 5), (0, 5)]
+    for edge, size in zip(edges, (2, 4, 2, 6)):
+        assert dasgupta_cost(Graph(6, [edge]), tree) == size
+    assert dasgupta_cost(Graph(6, edges), tree) == 14
 
 
 def test_heights():
     tree = tree_from_nested((((0, 1), 2), 3))
     assert tree.tree_height == 3
-    assert tree.height(tree.root) == 3
     assert [int(x) for x in tree.nodes_at_height(0)] == sorted(
         n for n in range(7) if tree.is_leaf(n)
     )
@@ -198,7 +209,7 @@ def test_random_edge_respects_path_components():
     g = Graph(3, [(0, 1), (1, 2)])
     for seed in range(25):
         t = build_random_edge(g, seed)
-        first = t.leaf_set(3)
+        first = leaf_set(t, 3)
         assert first in ({0, 1}, {1, 2})
 
 
@@ -206,7 +217,7 @@ def test_random_edge_merges_components_last():
     g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     for seed in range(10):
         t = build_random_edge(g, seed)
-        left = t.leaf_set(t.left(t.root))
+        left = leaf_set(t, t.left(t.root))
         assert left in ({0, 1, 2}, {3, 4, 5})
 
 
@@ -214,15 +225,15 @@ def test_jaccard_four_cycle_pairs_antipodes():
     # antipodal vertices share both neighbors: similarity 1 beats adjacent 1/3
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     t = build_jaccard(g)
-    assert t.leaf_set(4) in ({0, 2}, {1, 3})
-    assert t.leaf_set(5) in ({0, 2}, {1, 3})
+    assert leaf_set(t, 4) in ({0, 2}, {1, 3})
+    assert leaf_set(t, 5) in ({0, 2}, {1, 3})
 
 
 def test_jaccard_twins_first():
     # 3 and 4 are twins hanging off 0; tie-break picks lowest vertex pair
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
     t = build_jaccard(g)
-    assert t.leaf_set(5) == {3, 4}
+    assert leaf_set(t, 5) == {3, 4}
 
 
 def test_jaccard_deterministic():
@@ -247,7 +258,7 @@ def test_bisection_separates_power_of_two_cliques():
     edges.append((0, 4))
     g = Graph(8, edges)
     t = build_bisection(g, 5)
-    assert t.leaf_set(t.left(t.root)) in ({0, 1, 2, 3}, {4, 5, 6, 7})
+    assert leaf_set(t, t.left(t.root)) in ({0, 1, 2, 3}, {4, 5, 6, 7})
 
 
 def _bisection_pin_graphs():
@@ -366,6 +377,68 @@ def test_cost_bounds(name, gs):
     assert 2 * g.m <= cost <= g.n * g.m
 
 
+def _naive_cost(graph, tree):
+    """Walk each edge's ends up the parents to their first common ancestor."""
+    leaf = {tree.leaf_vertex(x): x for x in range(tree.node_count) if tree.is_leaf(x)}
+    total = 0
+    for u, v in graph.edge_array.tolist():
+        above_u = set()
+        x = leaf[u]
+        while x >= 0:
+            above_u.add(x)
+            x = tree.parent(x)
+        y = leaf[v]
+        while y not in above_u:
+            y = tree.parent(y)
+        total += tree.size(y)
+    return total
+
+
+@st.composite
+def _graph_and_tree(draw):
+    """A random G(n, m) with a tree from one of the builders, or a random
+    nested tree: random pairs of neighbours merged over a random leaf order."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, min(120, n * (n - 1) // 2)))
+    g = gen_gnm(n, m, seed=draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from([*BUILDERS, "nested"]))
+    if kind != "nested":
+        return g, BUILDERS[kind](g)
+    parts = list(draw(st.permutations(range(n))))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i : i + 2] = [(parts[i], parts[i + 1])]
+    return g, tree_from_nested(parts[0])
+
+
+@given(_graph_and_tree())
+@example((gen_gnm(1500, 1000, seed=1), tree_from_nested(_caterpillar(1500))))
+@example((Graph(1500, [(v, v + 1) for v in range(1499)]), tree_from_nested(_caterpillar(1500))))
+@settings(max_examples=300, deadline=None)
+def test_cost_matches_naive_walk(case):
+    g, tree = case
+    assert dasgupta_cost(g, tree) == _naive_cost(g, tree)
+
+
+def test_cost_pinned():
+    # costs of the bisection trees the benchmark workloads build
+    got = {}
+    for seed in (1, 20261017):
+        g = gen_hierarchical(8, 15, 15, seed)[0]
+        got["hier-select", seed] = dasgupta_cost(g, build_bisection(g, seed))
+        g = gen_worstcase(24).graph
+        got["worstcase-exact", seed] = dasgupta_cost(g, build_bisection(g, seed))
+    g = gen_gnm(10_000, 50_000, seed=1)
+    got["gnm-sigma", 1] = dasgupta_cost(g, build_bisection(g, 1))
+    assert got == {
+        ("hier-select", 1): 116_832,
+        ("hier-select", 20261017): 108_040,
+        ("worstcase-exact", 1): 619_166,
+        ("worstcase-exact", 20261017): 619_166,
+        ("gnm-sigma", 1): 272_710_689,
+    }
+
+
 def test_cost_invariant_under_child_swap():
     g = gen_gnm(10, 18, seed=13)
     a = tree_from_nested((((0, 1), (2, 3)), ((4, 5), ((6, 7), (8, 9)))))
@@ -439,3 +512,22 @@ def test_structural_validation():
     # parent cycle
     with pytest.raises(FormatError):
         HierarchyTree(np.array([1, 0, 1]), np.array([-1, 0, 1]))
+
+
+def test_tree_ids_must_be_integers():
+    # an int64 cast would read 0.5 as 0 and 1.9 as 1: a valid tree
+    bad = [
+        ([-1, 0.5, 0], [-1, 0, 1.9]),
+        ([-1, 0, 0], [-1.0, 0.0, 1.0]),
+        ([-1, 0, 0], ["-1", "0", "1"]),
+        ([-1, 0, 0], [-1, None, 1]),
+        ([-1], [False]),
+        ([-1], np.array([0], dtype=np.uint64)),
+    ]
+    for parents, leaf_vertex in bad:
+        with pytest.raises(FormatError, match="must be integers"):
+            HierarchyTree(parents, leaf_vertex)
+    small = HierarchyTree(np.array([-1, 0, 0], dtype=np.int8), np.array([-1, 0, 1], dtype=np.int16))
+    assert small == tree_from_nested((0, 1))
+    with pytest.raises(FormatError, match="node count"):
+        HierarchyTree([], [])

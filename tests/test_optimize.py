@@ -30,6 +30,7 @@ from infmax import (
     retrieve_seeds,
     tree_from_nested,
 )
+from tree_helpers import leaf_set
 
 
 def _k5():
@@ -105,7 +106,7 @@ def test_init_table_leaf_rows():
     g = Graph(2, [(0, 1)])
     tree = tree_from_nested((0, 1))
     table = mpa_init_table(g, tree, CascadeModel.icm(0.5), 1, "exact")
-    leaf0 = tree.leaf_of_vertex(0)
+    leaf0 = tree.left(tree.root)  # vertex 0
     assert retrieve_seeds(tree, table, leaf0, ("L", "R"), 0) == frozenset()
     assert retrieve_seeds(tree, table, leaf0, ("L", "R"), 1) == {0}
     assert retrieve_seeds(tree, table, tree.root, ("L", "R"), 1) in ({0}, {1})
@@ -119,7 +120,7 @@ def test_init_table_rows_stay_in_subtree():
     k = 3
     table = mpa_init_table(g, tree, CascadeModel.icm(0.3), k, "exact")
     for node in range(tree.node_count):
-        leaves = tree.leaf_set(node)
+        leaves = leaf_set(tree, node)
         for i in range(k + 1):
             chosen = retrieve_seeds(tree, table, node, ("L", "R"), i)
             assert len(chosen) == min(i, len(leaves))
@@ -172,7 +173,7 @@ def _table_for(tree, k):
 def test_retrieve_leaf_cases():
     tree = tree_from_nested((0, 1))
     table = _table_for(tree, 2)
-    leaf = tree.leaf_of_vertex(1)
+    leaf = tree.right(tree.root)  # vertex 1
     assert retrieve_seeds(tree, table, leaf, ("L", "R"), 0) == frozenset()
     assert retrieve_seeds(tree, table, leaf, ("L", "R"), 2) == {1}
     # outside-facing budget at a leaf has nowhere to go below it
@@ -252,6 +253,19 @@ def test_allocation_table_validates():
     assert not table._data
     table.set(tree.root, ("L", "R"), 2, 1, 1)
     assert table.get(tree.root, ("L", "R"), 2) == (1, 1)
+
+
+def test_walks_reject_nodes_outside_the_tree():
+    # numpy indexing would read -1 and -2 as the last nodes
+    g = Graph(2, [(0, 1)])
+    tree = tree_from_nested((0, 1))
+    model = CascadeModel.icm(0.5)
+    table = mpa_init_table(g, tree, model, 1, "exact")
+    for node in (-1, -2, 3):
+        with pytest.raises(ValueError, match="outside the tree"):
+            retrieve_seeds(tree, table, node, ("L", "R"), 1)
+        with pytest.raises(ValueError, match="outside the tree"):
+            mpa_update(g, tree, model, 1, "exact", table, node, ("L", "R"))
 
 
 # ---------------------------------------------------------------- mpa

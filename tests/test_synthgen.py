@@ -10,6 +10,7 @@ from infmax import (
     gen_worstcase,
     sigma_exact,
 )
+from tree_helpers import leaf_set
 
 
 def test_minimal_instance():
@@ -129,8 +130,8 @@ def test_worstcase_truth_tree_splits_clique_from_stars():
     inst = gen_worstcase(3)
     t = inst.truth_tree
     clique = frozenset(range(3))
-    left = t.leaf_set(t.left(t.root))
-    right = t.leaf_set(t.right(t.root))
+    left = leaf_set(t, t.left(t.root))
+    right = leaf_set(t, t.right(t.root))
     assert clique in (left, right)
 
 
