@@ -14,10 +14,16 @@ settles the rest.  f * B and theta * B are exact, so K_v is exactly
 searchsorted(f_table(d), theta_v) (see _count_classes).  Both oracles work
 in count-class space.  With the classes fixed,
 a cascade is a monotone closure, so the infected set does not depend on how
-a round is computed.  The Monte Carlo kernel counts round one once for all
-repetitions, since every repetition starts from the same seeds, then pushes
-only the newly infected frontier of all repetitions at once along the raw CSR
-arrays.  Exact expectations are computable by conditioning on one class
+a round is computed.  The Monte Carlo kernel runs a batch of seed sets at
+once, as independent rows (set, repetition) that all read the one table of
+count classes: it counts round one once for all repetitions of every set,
+since every repetition of a set starts from the same seeds, then pushes only
+the newly infected frontier of all rows at once along the raw CSR arrays,
+and reads each row's infected count off a bincount of its infected entries.
+A batch runs in blocks of whole sets under a cap on the entries one call
+holds.  sigma_many hands the kernel every seed set of a batch not yet
+cached, per component; each set is then answered as sigma would answer it
+alone.  Exact expectations are computable by conditioning on one class
 boundary at a time.  Both oracles evaluate a seed set one connected component
 at a time, on the component index that each Graph builds once and caches
 (graph.py): its split() validates and groups the seeds, and its
@@ -28,6 +34,7 @@ one lookup in a memo of whole sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -319,20 +326,30 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
     # neighbors do, so starting it with the seeds yields the same closure.
     start = np.union1d(seed_list, np.flatnonzero(K == 0))
     A = graph.csr()
-    infected = _closure(A.indptr, A.indices, K[None, :], start)[0]
-    return {int(v) for v in np.flatnonzero(infected)}
+    return {int(v) for v in np.union1d(start, _closure(A.indptr, A.indices, K[None, :], [start]))}
 
 
-# A round whose frontier has at least reps * nc / _DENSE_SHARE edge entries
-# adds its counts with dense bincounts; a smaller round sorts only what it
-# touches.  Sparse G(n, m) cascades stay far below the switch, where a dense
-# step costs several times more; hierarchical scm cascades put a third of
-# their rounds above it, where sorting costs more.  Kernel time there is
-# flat for shares from 6 to 16 and grows as the share falls below 6.  The
-# shared round one switches the same way on its touched vertices: tested
-# alone while they are under nc / _DENSE_SHARE (the seeds' neighborhood in
-# G(n, m)), else with every entry (hierarchical seed sets).
+# A round whose frontier has at least size / _DENSE_SHARE edge entries, size
+# being the call's sets * reps * nc entries, adds its counts with dense
+# bincounts; a smaller round sorts only what it touches.  Sparse G(n, m)
+# cascades stay far below the switch, where a dense step costs several times
+# more; hierarchical scm cascades put a third of their rounds above it, where
+# sorting costs more.  Kernel time there is flat for shares from 6 to 16 and
+# grows as the share falls below 6.  The shared round one switches the same
+# way on its touched (set, vertex) pairs: tested alone while they are under
+# sets * nc / _DENSE_SHARE (the seeds' neighborhood in G(n, m)), else with
+# every entry (hierarchical seed sets).
 _DENSE_SHARE = 8
+
+# Entries (sets * reps * nc) that one _closure call holds at most, unless a
+# single set has more: _totals runs a batch of seed sets in blocks of whole
+# sets under this cap.  It bounds the kernel's memory, and a dense round one
+# over many more entries is memory-bound.
+_CLOSURE_ENTRIES = 2**18
+
+# The count of an infected entry: pushes add at most nc - 1 to it, so it never
+# reaches a count class again.
+_DONE = -(2**30)
 
 
 def _runs(indptr, v, d):
@@ -357,64 +374,99 @@ def _targets(indptr, indices, nc, frontier, v, d):
     return targets
 
 
-def _closure(indptr, indices, K, seed_cols, degree=None) -> np.ndarray:
-    """Infected mask (reps, nc) of the cascade from seed_cols in every repetition.
+def _entries(pairs, nc, reps):
+    """Flat entries (b * reps + r) * nc + v, for every repetition r, of the
+    (set, vertex) pairs b * nc + v."""
+    b, v = np.divmod(pairs, nc)
+    return ((b * (reps * nc) + v)[:, None] + np.arange(0, reps * nc, nc)).ravel()
+
+
+def _closure(indptr, indices, K, seed_sets, degree=None) -> np.ndarray:
+    """Flat entries that the cascades from seed_sets infect beyond their seeds.
 
     (indptr, indices) is the CSR adjacency of the nc vertices, degree their
     degrees (np.diff(indptr) if None) and K their (reps, nc) count classes.
-    Entry (r, v) is flattened to r * nc + v.  Round one is the same in every
-    repetition: each non-seed w gains c_w = |N(w) & seeds| infected
-    neighbors, counted once in one pass over the seeds' adjacency.  Its
-    frontier is where K reaches c_w: tested only at the touched vertices
-    W = {w : c_w > 0} when they are few, else over all entries.  So round one
-    holds the seeds' adjacency plus at most reps * nc entries.  Each later
-    round pushes the newly infected frontier along its edges and infects the
-    uninfected entries whose infected-neighbor count has reached K.  No
-    later push builds edge arrays longer than reps * nc plus one vertex's
-    degree.
+    The B seed sets (each of distinct columns) run as B * reps independent
+    rows against the one K: entry (b, r, v) is flattened to
+    (b * reps + r) * nc + v, and row b * reps + r reads K[r].  Round one is
+    the same in every repetition: each non-seed w of set b gains
+    c_bw = |N(w) & seeds_b| infected neighbors, counted for all sets in one
+    pass over their seeds' adjacency.  Its frontier is where K reaches c_bw:
+    tested only at the touched pairs {(b, w) : c_bw > 0} when they are few,
+    else over all entries.  So round one holds the seeds' adjacency plus at
+    most B * reps * nc entries.  Each later round pushes the newly infected
+    frontier of every set and repetition along its edges and infects the
+    entries whose infected-neighbor count has reached K; an infected entry's
+    count reads _DONE, so it never fires again.  No later push builds edge
+    arrays longer than B * reps * nc plus one vertex's degree.
     """
     reps, nc = K.shape
-    size = reps * nc
+    sets = len(seed_sets)
+    block = reps * nc
+    size = sets * block
     if degree is None:
         degree = np.diff(indptr)
     K = K.ravel()
-    cols = np.asarray(seed_cols, dtype=np.int64)
-    row = np.bincount(indices[_runs(indptr, cols, degree[cols])], minlength=nc).astype(np.int32)
-    # Seeds start infected, so their counts are never read; -1 keeps them
-    # out of the first frontier.
-    row[cols] = -1
+    sizes = [len(cols) for cols in seed_sets]
+    cols = np.fromiter(itertools.chain.from_iterable(seed_sets), dtype=np.int64, count=sum(sizes))
+    seeds = np.repeat(np.arange(sets) * nc, sizes)
+    d = degree[cols]
+    targets = np.repeat(seeds, d)
+    targets += indices[_runs(indptr, cols, d)]
+    seeds += cols
+    row = np.bincount(targets, minlength=sets * nc).astype(np.int32)
+    row[seeds] = _DONE
     touched = np.flatnonzero(row > 0)
-    if touched.size * _DENSE_SHARE < nc:
-        flat = (np.arange(0, size, nc)[:, None] + touched).ravel()
+    if touched.size * _DENSE_SHARE < row.size:
+        flat = _entries(touched, nc, reps)
         counts = np.zeros(size, dtype=np.int32)
-        counts[flat] = hits = np.tile(row[touched], reps)
-        frontier = flat[K[flat] <= hits]
+        counts[flat] = hits = np.repeat(row[touched], reps)
+        counts[_entries(seeds, nc, reps)] = _DONE
+        frontier = flat[K[flat % block] <= hits]
     else:
-        counts = np.tile(row, reps)
-        frontier = np.flatnonzero(counts >= K)
-    infected = np.zeros(size, dtype=bool)
-    infected.reshape(reps, nc)[:, cols] = True
-    infected[frontier] = True
+        counts = np.repeat(row.reshape(sets, 1, nc), reps, axis=1).ravel()
+        frontier = np.flatnonzero(counts.reshape(sets, block) >= K)
+    spread = [frontier]
     while frontier.size:
+        counts[frontier] = _DONE
         v = frontier % nc
         d = degree[v]
         total = int(d.sum())
         if total * _DENSE_SHARE < size:
             touched, hits = np.unique(_targets(indptr, indices, nc, frontier, v, d), return_counts=True)
-            counts[touched] += hits
-            frontier = touched[(counts[touched] >= K[touched]) & ~infected[touched]]
+            counts[touched] = hits = counts[touched] + hits
+            frontier = touched[hits >= K[touched % block]]
         else:
             # Cut the frontier where its edge entries pass each multiple of
-            # reps * nc (a degree is below nc, so no slice is empty); the
-            # test after the last slice sees the same sums as one push.
+            # size (a degree is below nc, so no slice is empty); the test
+            # after the last slice sees the same sums as one push.
             cuts = np.searchsorted(np.cumsum(d), np.arange(size, total, size), side="right")
             bounds = [0, *cuts.tolist(), frontier.size]
             for lo, hi in zip(bounds, bounds[1:]):
                 part = _targets(indptr, indices, nc, frontier[lo:hi], v[lo:hi], d[lo:hi])
                 counts += np.bincount(part, minlength=size)
-            frontier = np.flatnonzero((counts >= K) & ~infected)
-        infected[frontier] = True
-    return infected.reshape(reps, nc)
+            frontier = np.flatnonzero(counts.reshape(sets, block) >= K)
+        spread.append(frontier)
+    return np.concatenate(spread)
+
+
+def _totals(indptr, indices, K, seed_sets, degree=None) -> np.ndarray:
+    """Infected counts (len(seed_sets), reps) of _closure's cascades.
+
+    The sets run through _closure in blocks of whole sets, each of at most
+    _CLOSURE_ENTRIES entries (or a single set), and each count is the set's
+    size plus a bincount of its infected entries.
+    """
+    reps, nc = K.shape
+    step = max(1, _CLOSURE_ENTRIES // K.size)
+    totals = np.empty((len(seed_sets), reps), dtype=np.int64)
+    for lo in range(0, len(seed_sets), step):
+        block = seed_sets[lo : lo + step]
+        part = totals[lo : lo + len(block)]
+        spread = _closure(indptr, indices, K, block, degree)
+        part[:] = np.bincount(spread // nc, minlength=part.size).reshape(part.shape)
+        part += np.array([len(cols) for cols in block])[:, None]
+    return totals
 
 
 def _draw_thresholds(rng, shape) -> np.ndarray:
@@ -433,7 +485,8 @@ class MonteCarloOracle:
     sums of cached integer vectors, so results are bit-identical regardless
     of query order or parallelism.  A seed set already answered is answered
     again from a memo of whole sets, with one lookup.  calls counts every
-    sigma() invocation, cache hits included.
+    sigma() invocation, cache hits included; sigma_many answers each of its
+    sets through sigma().
     """
 
     def __init__(self, graph, model: CascadeModel, cfg: OracleConfig):
@@ -467,23 +520,27 @@ class MonteCarloOracle:
             table = index.class_tables[self.model] = _class_table(self.model, self.graph.degrees)
         return _map_classes(table, index.degrees[ci], theta, index.members[ci])
 
-    def _batch_sim(self, ci: int, K, seed_cols) -> np.ndarray:
-        """Infected count per repetition for one component, one seed set."""
+    def _batch_sim(self, ci: int, K, col_sets) -> np.ndarray:
+        """Infected counts (len(col_sets), reps) of one component's seed sets."""
         index = self._index
-        infected = _closure(index.indptr[ci], index.indices[ci], K, seed_cols, index.degrees[ci])
-        return infected.sum(axis=1, dtype=np.int64)
+        return _totals(index.indptr[ci], index.indices[ci], K, col_sets, index.degrees[ci])
+
+    def _crn_fill(self, ci: int, col_sets: list) -> None:
+        """Run the component's seed sets under the shared draws into the memo."""
+        K = self._crn_classes.get(ci)
+        if K is None:
+            K = self._crn_classes[ci] = self._classes(ci, self._theta)
+        for cols, totals in zip(col_sets, self._batch_sim(ci, K, col_sets)):
+            if len(self._memo) >= self._MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[(ci, cols)] = totals
 
     def _crn_totals(self, ci: int, seed_cols: tuple[int, ...]) -> np.ndarray:
         key = (ci, seed_cols)
         totals = self._memo.get(key)
         if totals is None:
-            K = self._crn_classes.get(ci)
-            if K is None:
-                K = self._crn_classes[ci] = self._classes(ci, self._theta)
-            totals = self._batch_sim(ci, K, seed_cols)
-            if len(self._memo) >= self._MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = totals
+            self._crn_fill(ci, [seed_cols])
+            totals = self._memo[key]
         return totals
 
     def sigma(self, seeds) -> SigmaEstimate:
@@ -496,6 +553,28 @@ class MonteCarloOracle:
                 self._answers.clear()
             self._answers[key] = est
         return est
+
+    def sigma_many(self, sets) -> list[SigmaEstimate]:
+        """[sigma(s) for s in sets], with the kernel work of the whole batch
+        done first, one _batch_sim per component.
+
+        Under CRN the (component, columns) pairs of the sets not answered
+        before and not in the memo run together; then each set is answered
+        through sigma, so calls, the answers and their bytes are those of
+        one sigma call per set.  INDEPENDENT draws differ per set, so that
+        mode just loops.
+        """
+        keys = [frozenset(map(_vertex_id, seeds)) for seeds in sets]
+        if self.cfg.mode == CRN:
+            missing: dict[int, dict[tuple, None]] = {}
+            for key in keys:
+                if key not in self._answers:
+                    for ci, cols in self._index.split(key):
+                        if (ci, cols) not in self._memo:
+                            missing.setdefault(ci, {})[cols] = None
+            for ci, col_sets in missing.items():
+                self._crn_fill(ci, list(col_sets))
+        return [self.sigma(key) for key in keys]
 
     def _estimate(self, seeds) -> SigmaEstimate:
         groups = self._index.split(seeds)
@@ -510,7 +589,7 @@ class MonteCarloOracle:
             rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, digest)
             theta = _draw_thresholds(rng, (reps, self.graph.n))
             for ci, cols in groups:
-                totals += self._batch_sim(ci, self._classes(ci, theta), cols)
+                totals += self._batch_sim(ci, self._classes(ci, theta), [cols])[0]
         mean = float(totals.mean())
         stderr = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
         return SigmaEstimate(mean, stderr, reps)
@@ -570,6 +649,10 @@ class ExactOracle:
 
     def sigma(self, seeds) -> SigmaEstimate:
         return SigmaEstimate(self.value(seeds), 0.0, 0)
+
+    def sigma_many(self, sets) -> list[SigmaEstimate]:
+        """[sigma(s) for s in sets]; the walk has nothing to share."""
+        return [self.sigma(seeds) for seeds in sets]
 
     def _component_value(self, ci: int, seed_cols) -> float:
         masks, degs, tables = self._comp_local[ci]

@@ -23,6 +23,15 @@ from ._rng import (
 )
 
 
+def _id_array(ids) -> np.ndarray:
+    """ids as an array.  Bools are refused here: numpy reads a list that
+    mixes them with ints as int64, past HierarchyTree's dtype check."""
+    ids = list(ids)
+    if {bool, np.bool_} & set(map(type, ids)):
+        raise FormatError("node and vertex ids must be integers, not bools")
+    return np.asarray(ids)
+
+
 class HierarchyTree:
     """Rooted full binary tree over 2n-1 dense node ids, leaves = vertices.
 
@@ -41,7 +50,7 @@ class HierarchyTree:
     """
 
     def __init__(self, parents, leaf_vertex):
-        parents, leaf_vertex = (np.asarray(list(ids)) for ids in (parents, leaf_vertex))
+        parents, leaf_vertex = (_id_array(ids) for ids in (parents, leaf_vertex))
         count = parents.shape[0]
         if count % 2 != 1 or count < 1:
             raise FormatError(f"node count must be odd (2n-1), got {count}")

@@ -200,11 +200,14 @@ class _ComponentIndex:
 
 
 def _vertex_id(v) -> int:
-    """v as an int, through operator.index: 1.5 or "1" raise ValueError, not truncate."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"vertex id {v!r} is not an integer") from None
+    """v as an int, through operator.index: 1.5 or "1" raise ValueError, not
+    truncate, and a bool is refused rather than read as 0 or 1."""
+    if v.__class__ is not bool:  # numpy's bool has no __index__
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"vertex id {v!r} is not an integer")
 
 
 def load_edge_list(path) -> Graph:

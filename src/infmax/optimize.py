@@ -1,12 +1,14 @@
 """Seed selection: greedy, tree dynamic program, message passing, brute force.
 
-All optimizers share one oracle protocol (sigma(seeds) -> SigmaEstimate plus
-a calls counter).  Comparisons run against a common-random-numbers oracle so
-argmaxes are noise-consistent; the sigma reported on the returned seed set
-always comes from fresh independent draws (or is exact).  oracle_calls on
-the result counts only the queries made while optimizing, not the final
-evaluation.  Every argmax takes the first maximal candidate, so ties fall
-to the smallest id, share or subset.
+An oracle answers sigma(seeds) with a SigmaEstimate and sigma_many(sets)
+with the list [sigma(s) for s in sets], counting one call per set either
+way.  A greedy round sends all its candidates in one sigma_many, and so
+does each allocation step, so the Monte Carlo oracle can run them through
+its kernel together.  Comparisons run against a common-random-numbers
+oracle so argmaxes are noise-consistent; the sigma reported on the returned
+seed set always comes from fresh independent draws (or is exact).  oracle_calls on the result counts only the queries made
+while optimizing, not the final evaluation.  Every argmax takes the first
+maximal candidate, so ties fall to the smallest id, share or subset.
 
 There is one allocation step, _allocate: each budget's best split between
 two directions with the third direction's seeds held fixed.  The dynamic
@@ -113,10 +115,9 @@ def greedy(graph, model, k: int, cfg) -> SeedSet:
         chosen: list[int] = []
         for _ in range(k):
             taken = set(chosen)
-            chosen.append(max(
-                (v for v in range(graph.n) if v not in taken),
-                key=lambda v: oracle.sigma(chosen + [v]).mean,
-            ))
+            candidates = [v for v in range(graph.n) if v not in taken]
+            means = [est.mean for est in oracle.sigma_many([chosen + [v] for v in candidates])]
+            chosen.append(candidates[means.index(max(means))])
         return chosen, None
 
     return _search(graph, model, k, cfg, search)
@@ -126,19 +127,29 @@ def _allocate(oracle, table: AllocationTable, node: int, dpair, k: int, first, s
     """For each budget i, write (j, ii - j) into row (node, dpair) for the
     first share j whose set first[j] | second[ii - j] | rest[min(k - i, cap3)]
     has the largest sigma, where ii = min(i, cap1 + cap2) and each list
-    holds one set per budget 0..cap.  A forced split makes no query.
+    holds one set per budget 0..cap.  A forced split makes no query; the
+    other budgets' candidate sets go to the oracle in one sigma_many.
     Returns the chosen sets for the budgets i <= cap1 + cap2."""
     cap1, cap2, cap3 = len(first) - 1, len(second) - 1, len(rest) - 1
-    chosen = []
+    rows, queries = [], []
     for i in range(k + 1):
         ii, fixed = min(i, cap1 + cap2), rest[min(k - i, cap3)]
         shares = range(max(0, ii - cap2), min(ii, cap1) + 1)
-        j = shares[0] if len(shares) == 1 else max(
-            shares, key=lambda j: oracle.sigma(first[j] | second[ii - j] | fixed).mean
-        )
+        sets = [first[j] | second[ii - j] | fixed for j in shares]
+        rows.append((i, ii, shares, sets))
+        if len(sets) > 1:
+            queries += sets
+    answers = iter(oracle.sigma_many(queries))
+    chosen = []
+    for i, ii, shares, sets in rows:
+        pick = 0
+        if len(sets) > 1:
+            means = [next(answers).mean for _ in sets]
+            pick = means.index(max(means))
+        j = shares[pick]
         table.set(node, dpair, i, j, ii - j)
         if i == ii:
-            chosen.append(first[j] | second[ii - j] | fixed)
+            chosen.append(sets[pick])
     return chosen
 
 
@@ -232,11 +243,15 @@ def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair
     """Follow the table's advice from (node, dpair, ell) to the leaves it reaches.
 
     The walk keeps an explicit stack of (node, dpair, ell) steps, so its
-    depth is not bounded by Python's recursion limit.
+    depth is not bounded by Python's recursion limit.  The entry step is
+    checked as the table checks a key; every later step comes from the
+    table's own entries, which are read directly.
     """
     _check_node(tree, node)
+    dpair = table._key(node, dpair, max(ell, 0))[1]
+    advice = table._data
     found: list[int] = []
-    stack = [(node, tuple(dpair), ell)]
+    stack = [(node, dpair, ell)]
     while stack:
         node, dpair, ell = stack.pop()
         if ell <= 0:
@@ -245,14 +260,14 @@ def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair
             if tree.is_leaf(node):
                 found.append(tree.leaf_vertex(node))
             else:
-                s1, s2 = table.get(node, LR, ell)
+                s1, s2 = advice.get((node, LR, ell), (0, 0))
                 stack += [(tree.left(node), LR, s1), (tree.right(node), LR, s2)]
             continue
         child = tree.left(node) if dpair[0] == "L" else tree.right(node)
         if node == tree.root:
             stack.append((child, LR, ell))
         elif not tree.is_leaf(node):
-            s1, s2 = table.get(node, dpair, ell)
+            s1, s2 = advice.get((node, dpair, ell), (0, 0))
             stack.append((child, LR, s1))
             parent, pair, _ = _follow(tree, node, "U")
             stack.append((parent, pair, s2))

@@ -344,6 +344,16 @@ def _dense_rounds(graph, K, seeds):
         infected |= newly
 
 
+def _closure_masks(A, K, seed_sets):
+    # the kernel's infected entries plus the seeds, as (B, reps, nc) masks
+    reps, nc = K.shape
+    masks = np.zeros((len(seed_sets), reps, nc), dtype=bool)
+    masks.ravel()[cascade._closure(A.indptr, A.indices, K, seed_sets)] = True
+    for mask, seeds in zip(masks, seed_sets):
+        mask[:, list(seeds)] = True
+    return masks
+
+
 # _DENSE_SHARE = 0 keeps every round on the sparse step, a huge share puts
 # every round on the dense step, and the shipped share switches per round.
 _STEP_SHARES = {"sparse": 0, "dense": 10**9, "switched": cascade._DENSE_SHARE}
@@ -367,7 +377,7 @@ def test_kernel_matches_dense_rounds(step, case):
         mock.patch.object(cascade, "_DENSE_SHARE", _STEP_SHARES[step]),
         mock.patch.object(cascade, "_targets", wraps=cascade._targets) as push,
     ):
-        infected = cascade._closure(A.indptr, A.indices, K, seeds)
+        infected = _closure_masks(A, K, [seeds])[0]
     expected = _dense_rounds(g, K, seeds)
     assert np.array_equal(infected, expected)
     # no push holds more edge entries than reps * nc plus one degree (a
@@ -401,7 +411,7 @@ def test_closure_union_law(step, case):
     A = g.csr()
 
     def close(K, seeds):
-        return cascade._closure(A.indptr, A.indices, K, seeds)
+        return _closure_masks(A, K, [seeds])[0]
 
     with mock.patch.object(cascade, "_DENSE_SHARE", _STEP_SHARES[step]):
         cs, ct, cst = close(K, S), close(K, T), close(K, sorted(set(S) | set(T)))
@@ -410,6 +420,77 @@ def test_closure_union_law(step, case):
             assert np.array_equal(close(row, np.flatnonzero(cs[r] | ct[r]))[0], cst[r])
             assert np.array_equal(close(row, np.flatnonzero(cs[r]))[0], cs[r])
     assert (cs <= cst).all() and (ct <= cst).all()
+
+
+@st.composite
+def _batch_cases(draw):
+    g, model, reps, _, theta_seed = draw(_kernel_cases())
+    some_set = st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n).map(sorted)
+    sets = draw(st.lists(some_set, min_size=1, max_size=6))
+    # repeat some sets, so a batch can hold duplicates
+    sets += draw(st.lists(st.sampled_from(sets), max_size=2))
+    cap = draw(st.integers(1, 3 * reps * g.n))
+    return g, model, reps, sets, theta_seed, cap
+
+
+@pytest.mark.parametrize("step", sorted(_STEP_SHARES))
+@given(case=_batch_cases())
+@example(case=(Graph(5, [(0, 1), (1, 2)]), ALL_MODELS[0], 3, [[], [0], [], [0, 1, 2, 3, 4]], 0, 2**18))
+# a seeded leaf of a 20-vertex star touches the center alone, so alone it
+# takes the tested-only round one; the center touches all 19 leaves, which
+# puts the batch on the all-entries round one under the shipped share
+@example(case=(Graph(20, [(0, i) for i in range(1, 20)]), ALL_MODELS[1], 4, [[1], [0], [1]], 2, 2**18))
+@example(case=(Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]), ALL_MODELS[3], 3, [[0, 1], [2], [0, 1], []], 3, 18))
+@settings(max_examples=80, deadline=None)
+def test_batched_kernel_matches_single_runs(step, case):
+    # B seed sets run as B * reps rows of one kernel call give each set's own
+    # masks and per-repetition totals, whatever the step share and block cap
+    g, model, reps, sets, theta_seed, cap = case
+    theta = 1.0 - np.random.default_rng(theta_seed).random((reps, g.n))
+    K = cascade._count_classes(model, g.degrees, theta)
+    A = g.csr()
+    with (
+        mock.patch.object(cascade, "_DENSE_SHARE", _STEP_SHARES[step]),
+        mock.patch.object(cascade, "_CLOSURE_ENTRIES", cap),
+        mock.patch.object(cascade, "_closure", wraps=cascade._closure) as kernel,
+    ):
+        masks = _closure_masks(A, K, sets)
+        kernel.reset_mock()
+        totals = cascade._totals(A.indptr, A.indices, K, sets)
+        blocks = [len(c.args[3]) for c in kernel.call_args_list]
+        singles = [_closure_masks(A, K, [seeds])[0] for seeds in sets]
+    assert masks.shape == (len(sets), reps, g.n)
+    assert totals.dtype == np.int64 and totals.shape == (len(sets), reps)
+    for mask, total, single in zip(masks, totals, singles):
+        assert np.array_equal(mask, single)
+        assert np.array_equal(total, single.sum(axis=1))
+    # blocks of whole sets, in order, each within the cap unless it is one set
+    assert sum(blocks) == len(sets)
+    assert all(b * K.size <= cap or b == 1 for b in blocks)
+
+
+def test_batches_stay_under_the_entries_cap():
+    # 100 reps of a 295-vertex component: 29,500 entries per set, so eight
+    # sets fill a block of 2**18 and 25 fresh sets take four kernel calls
+    g = gen_gnm(300, 600, seed=5)
+    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(100, 4))
+    giant = g.components()[0].tolist()
+    assert len(giant) == 295 and cascade._CLOSURE_ENTRIES == 2**18
+    sets = [giant[i : i + 3] for i in range(0, 75, 3)]
+    with mock.patch.object(cascade, "_closure", wraps=cascade._closure) as kernel:
+        got = [repr(est) for est in oracle.sigma_many(sets)]
+    shapes = [(len(c.args[3]), c.args[2].shape) for c in kernel.call_args_list]
+    assert shapes == [(8, (100, 295))] * 3 + [(1, (100, 295))]
+    fresh = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(100, 4))
+    assert got == [repr(fresh.sigma(s)) for s in sets]
+    # a set whose entries alone pass the cap runs in a block of its own
+    with (
+        mock.patch.object(cascade, "_CLOSURE_ENTRIES", 1000),
+        mock.patch.object(cascade, "_closure", wraps=cascade._closure) as kernel,
+    ):
+        capped = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(100, 4))
+        assert [repr(est) for est in capped.sigma_many(sets)] == got
+    assert all(len(c.args[3]) == 1 for c in kernel.call_args_list)
 
 
 # sigma_mc reprs recorded with the earlier kernel, which rebuilt a sparse
@@ -737,6 +818,99 @@ def test_mc_answer_memo_clears_without_changing_results():
             assert len(oracle._answers) <= 2 and len(oracle._memo) <= 2
     assert got == expected
     assert oracle.calls == len(sets)
+
+
+def _batch_graph():
+    # 18 components, the largest of 28 vertices, plus isolated vertices
+    g = gen_gnm(60, 45, seed=2)
+    assert len(g.components()) > 10
+    return g
+
+
+_BATCH = [[0, 5], [1], [], [0, 5], [2, 30, 47], [5, 0], [59], [3, 4, 6, 7, 8, 9], [1], [47, 30, 2]]
+
+
+@pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
+def test_sigma_many_answers_as_sigma_does(mode):
+    g, model = _batch_graph(), CascadeModel.dicm(0.4, 0.3)
+    cfg = OracleConfig(30, 9, mode)
+    single = MonteCarloOracle(g, model, cfg)
+    expected = [repr(single.sigma(s)) for s in _BATCH]
+    batched = MonteCarloOracle(g, model, cfg)
+    assert [repr(est) for est in batched.sigma_many(_BATCH)] == expected
+    assert batched.calls == single.calls == len(_BATCH)
+    # the other way round: sets answered one by one first, then a batch
+    # that mixes those earlier hits with fresh sets and repeats
+    mixed = MonteCarloOracle(g, model, cfg)
+    head = [repr(mixed.sigma(s)) for s in _BATCH[:4]]
+    tail = [repr(est) for est in mixed.sigma_many(_BATCH[::-1])]
+    assert head == expected[:4] and tail == expected[::-1]
+    assert mixed.calls == 4 + len(_BATCH)
+    assert mixed.sigma_many([]) == [] and mixed.calls == 4 + len(_BATCH)
+
+
+def test_sigma_many_runs_each_component_once():
+    g = _batch_graph()
+    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(30, 9))
+    oracle.sigma([1])
+    # one kernel call per component with a pair not cached: [1] was answered
+    split = g._component_index().split
+    pending = {ci for s in _BATCH for ci, cols in split(s) if (ci, cols) not in oracle._memo}
+    assert 1 < len(pending) < len({ci for s in _BATCH for ci, _ in split(s)})
+    with mock.patch.object(cascade, "_closure", wraps=cascade._closure) as kernel:
+        oracle.sigma_many(_BATCH)
+        assert kernel.call_count == len(pending)
+        kernel.reset_mock()
+        oracle.sigma_many(_BATCH)
+        assert kernel.call_count == 0
+
+
+def test_sigma_many_with_a_tiny_memo():
+    g, model, cfg = _batch_graph(), CascadeModel.scm(), OracleConfig(30, 9)
+    expected = [repr(MonteCarloOracle(g, model, cfg).sigma(s)) for s in _BATCH]
+    with mock.patch.object(MonteCarloOracle, "_MEMO_LIMIT", 3):
+        oracle = MonteCarloOracle(g, model, cfg)
+        for _ in range(2):
+            assert [repr(est) for est in oracle.sigma_many(_BATCH)] == expected
+            assert len(oracle._answers) <= 3 and len(oracle._memo) <= 3
+    assert oracle.calls == 2 * len(_BATCH)
+
+
+def test_exact_sigma_many_loops_sigma():
+    g, model = _batch_graph(), CascadeModel.icm(0.4)
+    single = ExactOracle(g, model)
+    expected = [single.sigma(s) for s in _BATCH]
+    batched = ExactOracle(g, model)
+    assert batched.sigma_many(_BATCH) == expected
+    assert batched.calls == len(_BATCH)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1)),
+        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1, INDEPENDENT)),
+        lambda g: ExactOracle(g, CascadeModel.ltm()),
+    ],
+    ids=["mc-crn", "mc-independent", "exact"],
+)
+def test_sigma_many_rejects_bad_ids(oracle):
+    ask = oracle(_batch_graph()).sigma_many
+    for bad in ([0, 1.5], [True], [60], [-1]):
+        with pytest.raises(ValueError, match="not an integer|seed outside"):
+            ask([[0], bad, [1]])
+
+
+def test_bool_seed_ids_are_refused():
+    # True is not read as vertex 1
+    g, model = Graph(3, [(0, 1)]), CascadeModel.icm(1.0)
+    for seeds in ([True], [0, False], [np.True_]):
+        with pytest.raises(ValueError, match="not an integer"):
+            sigma_exact(g, model, seeds)
+        with pytest.raises(ValueError, match="not an integer"):
+            sigma_mc(g, model, seeds, OracleConfig(5, 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            simulate_cascade(g, model, seeds, np.ones(3))
 
 
 def test_class_table_cached_per_model():

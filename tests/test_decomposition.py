@@ -92,6 +92,16 @@ def test_nested_leaves_must_be_integers():
     assert tree_from_nested(((0, np.int64(1)), 2)) == tree_from_nested(((0, 1), 2))
 
 
+def test_bool_ids_are_refused():
+    # numpy would read a list mixing ints and bools as int64, and True as 1
+    with pytest.raises(ValueError, match="not an integer"):
+        tree_from_nested(((0, True), 2))
+    for parents, leaf_vertex in (([-1, 0, 0], [-1, True, False]), ([-1, True, 0], [-1, 0, 1]), ([-1, 0, 0], [-1, np.True_, 0])):
+        with pytest.raises(FormatError, match="must be integers"):
+            HierarchyTree(parents, leaf_vertex)
+    assert HierarchyTree([-1, 0, 0], [-1, 1, 0]) == tree_from_nested((1, 0))
+
+
 def test_lca_and_sizes():
     # each edge pays the leaf count of its smallest common subtree
     tree = tree_from_nested((((0, 1), (2, 3)), (4, 5)))

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import pytest
 
@@ -253,6 +254,25 @@ def test_allocation_table_validates():
     assert not table._data
     table.set(tree.root, ("L", "R"), 2, 1, 1)
     assert table.get(tree.root, ("L", "R"), 2) == (1, 1)
+
+
+def test_walk_checks_its_entry_step_once():
+    # the entry step is checked as a table key; later steps read the table
+    # directly, so a deep walk makes one check
+    g = Graph(2, [(0, 1)])
+    tree = tree_from_nested((0, 1))
+    table = mpa_init_table(g, tree, CascadeModel.icm(0.5), 1, "exact")
+    for dpair, ell in ((("U", "L"), 1), (("L", "X"), 1), (("L", "R"), 2)):
+        with pytest.raises(ValueError, match="direction pair|budget"):
+            retrieve_seeds(tree, table, tree.root, dpair, ell)
+    assert retrieve_seeds(tree, table, tree.root, ["L", "R"], -1) == frozenset()
+    deep = _caterpillar(1500)
+    table = _table_for(deep, 1)
+    for node in range(1500, deep.node_count):
+        table.set(node, ("L", "R"), 1, 0, 1)
+    with mock.patch.object(AllocationTable, "_key", autospec=True, side_effect=AllocationTable._key) as key:
+        assert retrieve_seeds(deep, table, deep.root, ("L", "R"), 1) == {1}
+    assert key.call_count == 1
 
 
 def test_walks_reject_nodes_outside_the_tree():
