@@ -21,15 +21,16 @@ since every repetition of a set starts from the same seeds, then pushes only
 the newly infected frontier of all rows at once along the raw CSR arrays,
 and reads each row's infected count off a bincount of its infected entries.
 A batch runs in blocks of whole sets under a cap on the entries one call
-holds.  sigma_many hands the kernel every seed set of a batch not yet
-cached, per component; each set is then answered as sigma would answer it
-alone.  Exact expectations are computable by conditioning on one class
+holds.  Exact expectations are computable by conditioning on one class
 boundary at a time.  Both oracles evaluate a seed set one connected component
 at a time, on the component index that each Graph builds once and caches
 (graph.py): its split() validates and groups the seeds, and its
 per-component CSR arrays feed the kernel and the exact oracle's neighbor
 masks.  The Monte Carlo oracle answers a seed set it has answered before with
-one lookup in a memo of whole sets.
+one lookup in a memo of whole sets.  Every other set, asked alone or in a
+batch, is split once, and the batch's uncached (component, columns) pairs
+run in one kernel call per component; each set gets the answer it would
+get alone.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ def parse_model(text: str) -> CascadeModel:
             key = key.strip()
             if not eq or key not in ("p", "q", "eps"):
                 raise ValueError(f"bad model parameter {item!r}")
+            if key in params:
+                raise ValueError(f"repeated model parameter {key!r}")
             try:
                 params[key] = float(val)
             except ValueError:
@@ -331,14 +334,15 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
 
 # A round whose frontier has at least size / _DENSE_SHARE edge entries, size
 # being the call's sets * reps * nc entries, adds its counts with dense
-# bincounts; a smaller round sorts only what it touches.  Sparse G(n, m)
-# cascades stay far below the switch, where a dense step costs several times
-# more; hierarchical scm cascades put a third of their rounds above it, where
-# sorting costs more.  Kernel time there is flat for shares from 6 to 16 and
-# grows as the share falls below 6.  The shared round one switches the same
-# way on its touched (set, vertex) pairs: tested alone while they are under
-# sets * nc / _DENSE_SHARE (the seeds' neighborhood in G(n, m)), else with
-# every entry (hierarchical seed sets).
+# bincounts over slices of about size edge entries; a smaller round sorts
+# only what it touches.  So no push builds edge arrays longer than size plus
+# one vertex's degree.  No benchmark cascade reaches the dense push: the
+# 2,601 later rounds of hierarchical scm greedy, dpim and mpa (seed 1), 191
+# from 150 fresh scm 5-sets there and all G(n, m) icm, dicm and ltm rounds
+# ran sparse; icm:p=0.5 on G(2000, 10^4) took it in 5 of 8.  Round one
+# switches the same way on its touched (set, vertex) pairs: tested alone
+# while under sets * nc / _DENSE_SHARE (G(n, m) seed neighborhoods), else
+# with every entry (hierarchical seed sets: 905 of those 1,289 calls).
 _DENSE_SHARE = 8
 
 # Entries (sets * reps * nc) that one _closure call holds at most, unless a
@@ -484,9 +488,10 @@ class MonteCarloOracle:
     seed set, the integer infected counts of every repetition.  Totals are
     sums of cached integer vectors, so results are bit-identical regardless
     of query order or parallelism.  A seed set already answered is answered
-    again from a memo of whole sets, with one lookup.  calls counts every
-    sigma() invocation, cache hits included; sigma_many answers each of its
-    sets through sigma().
+    again from a memo of whole sets, with one lookup; sigma and sigma_many
+    answer every other set through _answer, which splits it once.  calls
+    counts every sigma() invocation, cache hits included; sigma_many answers
+    each of its sets through sigma().
     """
 
     def __init__(self, graph, model: CascadeModel, cfg: OracleConfig):
@@ -520,79 +525,68 @@ class MonteCarloOracle:
             table = index.class_tables[self.model] = _class_table(self.model, self.graph.degrees)
         return _map_classes(table, index.degrees[ci], theta, index.members[ci])
 
-    def _batch_sim(self, ci: int, K, col_sets) -> np.ndarray:
-        """Infected counts (len(col_sets), reps) of one component's seed sets."""
-        index = self._index
-        return _totals(index.indptr[ci], index.indices[ci], K, col_sets, index.degrees[ci])
-
-    def _crn_fill(self, ci: int, col_sets: list) -> None:
-        """Run the component's seed sets under the shared draws into the memo."""
-        K = self._crn_classes.get(ci)
-        if K is None:
-            K = self._crn_classes[ci] = self._classes(ci, self._theta)
-        for cols, totals in zip(col_sets, self._batch_sim(ci, K, col_sets)):
-            if len(self._memo) >= self._MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[(ci, cols)] = totals
-
-    def _crn_totals(self, ci: int, seed_cols: tuple[int, ...]) -> np.ndarray:
-        key = (ci, seed_cols)
-        totals = self._memo.get(key)
-        if totals is None:
-            self._crn_fill(ci, [seed_cols])
-            totals = self._memo[key]
-        return totals
-
     def sigma(self, seeds) -> SigmaEstimate:
         self.calls += 1
         key = frozenset(map(_vertex_id, seeds))
         est = self._answers.get(key)
-        if est is None:
-            est = self._estimate(key)
-            if len(self._answers) >= self._MEMO_LIMIT:
-                self._answers.clear()
-            self._answers[key] = est
-        return est
+        return self._answer([key])[0] if est is None else est
 
     def sigma_many(self, sets) -> list[SigmaEstimate]:
-        """[sigma(s) for s in sets], with the kernel work of the whole batch
-        done first, one _batch_sim per component.
-
-        Under CRN the (component, columns) pairs of the sets not answered
-        before and not in the memo run together; then each set is answered
-        through sigma, so calls, the answers and their bytes are those of
-        one sigma call per set.  INDEPENDENT draws differ per set, so that
-        mode just loops.
-        """
+        """[sigma(s) for s in sets]: the sets not answered before go through
+        one _answer call first, then every set through sigma, so calls and
+        the answers' bytes are those of one sigma call per set."""
         keys = [frozenset(map(_vertex_id, seeds)) for seeds in sets]
-        if self.cfg.mode == CRN:
-            missing: dict[int, dict[tuple, None]] = {}
-            for key in keys:
-                if key not in self._answers:
-                    for ci, cols in self._index.split(key):
-                        if (ci, cols) not in self._memo:
-                            missing.setdefault(ci, {})[cols] = None
-            for ci, col_sets in missing.items():
-                self._crn_fill(ci, list(col_sets))
+        self._answer([key for key in dict.fromkeys(keys) if key not in self._answers])
         return [self.sigma(key) for key in keys]
 
-    def _estimate(self, seeds) -> SigmaEstimate:
-        groups = self._index.split(seeds)
-        reps = self.cfg.reps
-        totals = np.zeros(reps, dtype=np.int64)
-        if self.cfg.mode == CRN:
-            for ci, cols in groups:
-                totals += self._crn_totals(ci, cols)
-        else:
-            members = self._index.members
-            digest = seeds_digest(members[ci][c] for ci, cols in groups for c in cols)
-            rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, digest)
-            theta = _draw_thresholds(rng, (reps, self.graph.n))
-            for ci, cols in groups:
-                totals += self._batch_sim(ci, self._classes(ci, theta), [cols])[0]
-        mean = float(totals.mean())
-        stderr = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        return SigmaEstimate(mean, stderr, reps)
+    def _answer(self, keys: list) -> list[SigmaEstimate]:
+        """Answer distinct seed sets not answered before, splitting each once.
+
+        Under CRN the pairs (component, columns) missing from the memo run in
+        one _totals call per component, in first-seen order; the batch reads
+        every pair's totals from a local map, which a memo clear cannot empty.
+        INDEPENDENT draws differ per set, so each set runs alone.
+        """
+        index, reps, crn = self._index, self.cfg.reps, self.cfg.mode == CRN
+        groups = [index.split(key) for key in keys]
+
+        def run(ci, K, col_sets):
+            return _totals(index.indptr[ci], index.indices[ci], K, col_sets, index.degrees[ci])
+
+        if crn:
+            known: dict[tuple, np.ndarray | None] = {}
+            missing: dict[int, list] = {}
+            for pair in itertools.chain.from_iterable(groups):
+                if pair not in known:
+                    known[pair] = totals = self._memo.get(pair)
+                    if totals is None:
+                        missing.setdefault(pair[0], []).append(pair[1])
+            for ci, col_sets in missing.items():
+                K = self._crn_classes.get(ci)
+                if K is None:
+                    K = self._crn_classes[ci] = self._classes(ci, self._theta)
+                for cols, totals in zip(col_sets, run(ci, K, col_sets)):
+                    if len(self._memo) >= self._MEMO_LIMIT:
+                        self._memo.clear()
+                    self._memo[(ci, cols)] = known[(ci, cols)] = totals
+        answers = []
+        for key, pairs in zip(keys, groups):
+            totals = np.zeros(reps, dtype=np.int64)
+            if crn:
+                for pair in pairs:
+                    totals += known[pair]
+            else:
+                digest = seeds_digest(index.members[ci][c] for ci, cols in pairs for c in cols)
+                rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, digest)
+                theta = _draw_thresholds(rng, (reps, self.graph.n))
+                for ci, cols in pairs:
+                    totals += run(ci, self._classes(ci, theta), [cols])[0]
+            stderr = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+            answers.append(SigmaEstimate(float(totals.mean()), stderr, reps))
+            if len(self._answers) >= self._MEMO_LIMIT:
+                self._answers.clear()
+            self._answers[key] = answers[-1]
+        return answers
 
 
 def sigma_mc(graph, model: CascadeModel, seeds, cfg: OracleConfig) -> SigmaEstimate:

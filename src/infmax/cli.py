@@ -287,6 +287,8 @@ def _parse_kv_spec(spec: str, kind: str, keys: tuple[str, ...]) -> dict[str, int
         key = key.strip()
         if not eq or key not in keys:
             raise FormatError(f"bad {kind} parameter {item!r}")
+        if key in out:
+            raise FormatError(f"repeated {kind} parameter {key!r}")
         try:
             out[key] = int(val)
         except ValueError:

@@ -6,9 +6,10 @@ way.  A greedy round sends all its candidates in one sigma_many, and so
 does each allocation step, so the Monte Carlo oracle can run them through
 its kernel together.  Comparisons run against a common-random-numbers
 oracle so argmaxes are noise-consistent; the sigma reported on the returned
-seed set always comes from fresh independent draws (or is exact).  oracle_calls on the result counts only the queries made
-while optimizing, not the final evaluation.  Every argmax takes the first
-maximal candidate, so ties fall to the smallest id, share or subset.
+seed set always comes from fresh independent draws (or is exact).
+oracle_calls on the result counts only the queries made while optimizing,
+not the final evaluation.  Every argmax takes the first maximal candidate,
+so ties fall to the smallest id, share or subset.
 
 There is one allocation step, _allocate: each budget's best split between
 two directions with the third direction's seeds held fixed.  The dynamic
@@ -72,7 +73,7 @@ def _make_oracle(graph, model, cfg):
 def _final_estimate(oracle, seeds) -> SigmaEstimate:
     """Influence of the final set under fresh draws (exact stays exact)."""
     if isinstance(oracle, ExactOracle):
-        return SigmaEstimate(oracle.value(seeds), 0.0, 0)
+        return oracle.sigma(seeds)
     cfg = oracle.cfg
     fresh = MonteCarloOracle(
         oracle.graph, oracle.model, OracleConfig(cfg.reps, cfg.master_seed, INDEPENDENT)

@@ -147,6 +147,12 @@ def test_parse_model_rejects():
             parse_model(bad)
 
 
+def test_parse_model_rejects_repeated_parameter():
+    for bad in ["icm:p=0.1,p=0.9", "dicm:p=0.1,q=0.2,p=0.1", "twostep:eps=0.1,eps=0.1"]:
+        with pytest.raises(ValueError, match="repeated"):
+            parse_model(bad)
+
+
 # ---------------------------------------------------------------- cascades
 
 
@@ -863,6 +869,22 @@ def test_sigma_many_runs_each_component_once():
         kernel.reset_mock()
         oracle.sigma_many(_BATCH)
         assert kernel.call_count == 0
+
+
+@pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
+def test_fresh_set_is_split_once(mode):
+    g, cfg = _batch_graph(), OracleConfig(30, 9, mode)
+    index = g._component_index()
+    with mock.patch.object(index, "split", wraps=index.split) as split:
+        oracle = MonteCarloOracle(g, CascadeModel.scm(), cfg)
+        oracle.sigma([2, 30, 47])
+        assert split.call_count == 1
+        oracle.sigma([47, 2, 30])
+        assert split.call_count == 1
+        split.reset_mock()
+        fresh = MonteCarloOracle(g, CascadeModel.scm(), cfg)
+        fresh.sigma_many(_BATCH)
+        assert split.call_count == len({frozenset(s) for s in _BATCH})
 
 
 def test_sigma_many_with_a_tiny_memo():

@@ -155,6 +155,14 @@ def test_sigma_bad_model_is_exit_2(edge, tmp_path):
     assert rc == 2
 
 
+def test_sigma_repeated_model_parameter_is_exit_2(edge, tmp_path):
+    seeds = tmp_path / "s.txt"
+    seeds.write_text("0\n")
+    rc = run("sigma", "--graph", edge, "--cascade", "icm:p=0.1,p=0.9",
+             "--seeds", seeds, "--exact")
+    assert rc == 2
+
+
 def test_sigma_bad_seed_file_is_exit_3(edge, tmp_path):
     seeds = tmp_path / "s.txt"
     seeds.write_text("zero\n")
@@ -324,6 +332,17 @@ def test_bench_rejects_unknown_key(tmp_path):
 def test_bench_rejects_missing_key(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("graph = gnm:n=4,m=3,seed=1\n")
+    assert run("bench", "--config", cfg) == 3
+
+
+@pytest.mark.parametrize(
+    "over",
+    [{"graph": "gnm:n=10,n=20,m=5,seed=1"}, {"cascade": "icm:p=0.1,p=0.2"}],
+    ids=["graph", "cascade"],
+)
+def test_bench_repeated_spec_parameter_is_exit_3(tmp_path, over):
+    cfg = tmp_path / "bench.cfg"
+    _write_config(cfg, **over)
     assert run("bench", "--config", cfg) == 3
 
 
