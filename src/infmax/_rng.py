@@ -50,19 +50,17 @@ def seeds_digest(seeds) -> int:
 
 
 def generator(*key_parts: int) -> np.random.Generator:
-    """Philox generator keyed by a mix of the given integers.
-
-    Each part goes through operator.index, so a seed of 1.5, "1" or True
-    raises ValueError instead of being truncated or read as 1.
-    """
-    return np.random.Generator(np.random.Philox(key=mix64(*map(_key_part, key_parts))))
+    """Philox generator keyed by a mix of the given integers (each checked by _integer)."""
+    return np.random.Generator(np.random.Philox(key=mix64(*map(_integer, key_parts))))
 
 
-def _key_part(v) -> int:
-    # bool is an int subclass, but True is no seed.
-    if not isinstance(v, bool):
+def _integer(v, what: str = "seed") -> int:
+    """v as an int through operator.index: 1.5 or "1" raise ValueError instead
+    of being truncated or parsed, and a bool is refused rather than read as 0
+    or 1.  The one integer check for seeds, ids and counts; what names v."""
+    if v.__class__ is not bool:  # numpy's bool has no __index__
         try:
             return operator.index(v)
         except TypeError:
             pass
-    raise ValueError(f"seed {v!r} is not an integer")
+    raise ValueError(f"{what} {v!r} is not an integer")

@@ -24,13 +24,13 @@ A batch runs in blocks of whole sets under a cap on the entries one call
 holds.  Exact expectations are computable by conditioning on one class
 boundary at a time.  Both oracles evaluate a seed set one connected component
 at a time, on the component index that each Graph builds once and caches
-(graph.py): its split() validates and groups the seeds, and its
-per-component CSR arrays feed the kernel and the exact oracle's neighbor
-masks.  The Monte Carlo oracle answers a seed set it has answered before with
-one lookup in a memo of whole sets.  Every other set, asked alone or in a
-batch, is split once, and the batch's uncached (component, columns) pairs
-run in one kernel call per component; each set gets the answer it would
-get alone.
+(graph.py): each query's seeds are checked once, by graph._seed_key, its
+split() groups them, and its per-component CSR arrays feed the kernel and
+the exact oracle's neighbor masks.  The Monte Carlo oracle answers a seed
+set it has answered before with one lookup in a memo of whole sets.  Every
+other set, asked alone or in a batch, is split once, and the batch's
+uncached (component, columns) pairs run in one kernel call per component;
+each set gets the answer it would get alone.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .graph import _vertex_id
-from ._rng import DOMAIN_CRN, DOMAIN_INDEPENDENT, generator, seeds_digest
+from .graph import _seed_key
+from ._rng import DOMAIN_CRN, DOMAIN_INDEPENDENT, _integer, generator, seeds_digest
 
 CRN = "CRN"
 INDEPENDENT = "INDEPENDENT"
@@ -151,25 +151,28 @@ def parse_model(text: str) -> CascadeModel:
     name = name.lower()
     if name not in _MODEL_PARAMS:
         raise ValueError(f"unknown cascade model {name!r}")
-    params: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            key = key.strip()
-            if not eq or key not in ("p", "q", "eps"):
-                raise ValueError(f"bad model parameter {item!r}")
-            if key in params:
-                raise ValueError(f"repeated model parameter {key!r}")
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise ValueError(f"bad model parameter value {val!r}") from None
-    expected = set(_MODEL_PARAMS[name])
-    if set(params) != expected:
-        raise ValueError(
-            f"model {name} takes parameters {sorted(expected)}, got {sorted(params)}"
-        )
-    return CascadeModel(name, **params)
+    return CascadeModel(name, **_parse_params(rest, f"model {name}", _MODEL_PARAMS[name], float))
+
+
+def _parse_params(text: str, kind: str, keys: tuple[str, ...], convert) -> dict:
+    """The comma-separated key=value items of text, values through convert:
+    model specs and bench graph sources.  Each of keys must be given once and
+    nothing else; otherwise ValueError, with kind naming the spec."""
+    params: dict = {}
+    for item in text.split(",") if text else ():
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq or key not in keys:
+            raise ValueError(f"bad {kind} parameter {item!r}")
+        if key in params:
+            raise ValueError(f"repeated {kind} parameter {key!r}")
+        try:
+            params[key] = convert(val)
+        except ValueError:
+            raise ValueError(f"bad {kind} parameter value {val!r}") from None
+    if len(params) != len(keys):
+        raise ValueError(f"{kind} takes parameters {list(keys)}, got {sorted(params)}")
+    return params
 
 
 @dataclass(frozen=True)
@@ -320,9 +323,7 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
     # NaN fails this test, as it would pass a min/max range check.
     if not ((theta >= 0.0) & (theta <= 1.0)).all():
         raise ValueError("thresholds must lie in [0, 1]")
-    seed_list = sorted({_vertex_id(v) for v in seeds})
-    if seed_list and (seed_list[0] < 0 or seed_list[-1] >= n):
-        raise ValueError("seed outside vertex range")
+    seed_list = sorted(_seed_key(seeds, n))
 
     K = _count_classes(model, graph.degrees, theta)
     # theta = 0 gives K = 0: such a vertex fires in round 1 whatever its
@@ -527,15 +528,16 @@ class MonteCarloOracle:
 
     def sigma(self, seeds) -> SigmaEstimate:
         self.calls += 1
-        key = frozenset(map(_vertex_id, seeds))
+        key = _seed_key(seeds, self.graph.n)
         est = self._answers.get(key)
         return self._answer([key])[0] if est is None else est
 
     def sigma_many(self, sets) -> list[SigmaEstimate]:
         """[sigma(s) for s in sets]: the sets not answered before go through
         one _answer call first, then every set through sigma, so calls and
-        the answers' bytes are those of one sigma call per set."""
-        keys = [frozenset(map(_vertex_id, seeds)) for seeds in sets]
+        the answers' bytes are those of one sigma call per set.  Each set is
+        checked once: sigma takes the checked key as it is."""
+        keys = [_seed_key(seeds, self.graph.n) for seeds in sets]
         self._answer([key for key in dict.fromkeys(keys) if key not in self._answers])
         return [self.sigma(key) for key in keys]
 
@@ -614,7 +616,7 @@ class ExactOracle:
     def __init__(self, graph, model: CascadeModel, budget: int = 10_000_000):
         self.graph = graph
         self.model = model
-        self.budget = int(budget)
+        self.budget = _integer(budget, "budget")
         self.calls = 0
         self._states = 0
         self._index = index = graph._component_index()
@@ -634,7 +636,7 @@ class ExactOracle:
         """Exact expected infected count."""
         self.calls += 1
         parts = []
-        for key in self._index.split(seeds):
+        for key in self._index.split(_seed_key(seeds, self.graph.n)):
             val = self._result_memo.get(key)
             if val is None:
                 val = self._result_memo[key] = self._component_value(*key)

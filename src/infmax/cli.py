@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import multiprocessing
 import os
 import re
@@ -18,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .cascade import OracleConfig, parse_model, sigma_exact, sigma_mc
+from .cascade import OracleConfig, _parse_params, parse_model, sigma_exact, sigma_mc
 from .decomposition import (
     build_bisection,
     build_jaccard,
@@ -29,7 +30,7 @@ from .decomposition import (
     write_tree,
 )
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graph import Graph, gen_gnm, load_edge_list
+from .graph import Graph, _write_atomic, gen_gnm, load_edge_list
 from .optimize import brute_force, dpim, greedy, mpa
 from .synthgen import gen_hierarchical, gen_worstcase
 from ._rng import DOMAIN_BENCH_ROW, DOMAIN_BENCH_TREE, mix64
@@ -65,12 +66,8 @@ def _read_seed_file(path, n: int) -> list[int]:
 
 
 def _write_seed_file(path, seeds, est) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"# sigma {est.mean!r} {est.stderr!r} {est.reps}\n")
-        for v in sorted(seeds):
-            fh.write(f"{v}\n")
-    os.replace(tmp, path)
+    header = [f"# sigma {est.mean!r} {est.stderr!r} {est.reps}\n"]
+    _write_atomic(path, itertools.chain(header, (f"{v}\n" for v in sorted(seeds))))
 
 
 def _require_seed(args) -> None:
@@ -247,9 +244,10 @@ def parse_bench_config(path) -> BenchConfig:
     cascades = tuple(c.strip() for c in values["cascade"].split(";") if c.strip())
     if not cascades:
         raise FormatError(f"{path}: cascade list is empty")
+    specs = []  # the CSV's cascade column: ltm and LTM are one cascade
     for spec in cascades:
         try:
-            parse_model(spec)
+            specs.append(parse_model(spec).spec)
         except ValueError as exc:
             raise FormatError(f"{path}: bad cascade {spec!r}: {exc}") from None
     try:
@@ -258,6 +256,11 @@ def parse_bench_config(path) -> BenchConfig:
         raise FormatError(f"{path}: key 'k' must list integers") from None
     if not ks or any(k < 0 for k in ks):
         raise FormatError(f"{path}: key 'k' must list nonnegative integers")
+    # A repeated entry would write rows for one cell under two row seeds.
+    for what, entries in (("algorithm", algorithms), ("cascade", specs), ("k", ks)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise FormatError(f"{path}: repeated {what} {entry!r}")
     timing = values.get("timing", "none")
     if timing not in ("none", "wall"):
         raise FormatError(f"{path}: timing must be 'none' or 'wall'")
@@ -281,21 +284,10 @@ def parse_bench_config(path) -> BenchConfig:
 
 
 def _parse_kv_spec(spec: str, kind: str, keys: tuple[str, ...]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for item in spec.split(","):
-        key, eq, val = item.partition("=")
-        key = key.strip()
-        if not eq or key not in keys:
-            raise FormatError(f"bad {kind} parameter {item!r}")
-        if key in out:
-            raise FormatError(f"repeated {kind} parameter {key!r}")
-        try:
-            out[key] = int(val)
-        except ValueError:
-            raise FormatError(f"bad {kind} parameter value {val!r}") from None
-    if set(out) != set(keys):
-        raise FormatError(f"{kind} source needs parameters {list(keys)}")
-    return out
+    try:
+        return _parse_params(spec, f"{kind} source", keys, int)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def _build_graph_source(source: str):
@@ -407,10 +399,7 @@ def run_bench(config: BenchConfig, workers: int = 1) -> None:
         "sigma_stderr", "oracle_calls", "elapsed_seconds", "seed",
     ])
     writer.writerows(rows)
-    tmp = f"{config.output}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, config.output)
+    _write_atomic(config.output, [buf.getvalue()])
 
 
 def _cmd_bench(args) -> int:

@@ -8,17 +8,18 @@ including orientation.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graph import _vertex_id
+from .graph import _write_atomic
 from ._rng import (
     DOMAIN_TREE_BISECTION,
     DOMAIN_TREE_RANDOM_EDGE,
     DOMAIN_TREE_RANDOM_PAIR,
+    _integer,
     generator,
 )
 
@@ -197,7 +198,7 @@ def tree_from_nested(nested) -> HierarchyTree:
             leaves.append(-1)
             stack += [(spec[1], me), (spec[0], me)]
         else:
-            leaves.append(_vertex_id(spec))
+            leaves.append(_integer(spec, "vertex id"))
     return HierarchyTree(parents, leaves)
 
 
@@ -590,13 +591,11 @@ def dasgupta_cost(graph, tree: HierarchyTree) -> int:
 
 def write_tree(tree: HierarchyTree, path) -> None:
     """Emit 'hier v1 <n>' plus one '<node> <parent> <leaf_vertex>' line per node."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"hier v1 {tree.n_leaves}\n")
-        for node in range(tree.node_count):
-            lv = tree.leaf_vertex(node) if tree.is_leaf(node) else -1
-            fh.write(f"{node} {tree.parent(node)} {lv}\n")
-    os.replace(tmp, path)
+    lines = (
+        f"{node} {tree.parent(node)} {tree.leaf_vertex(node) if tree.is_leaf(node) else -1}\n"
+        for node in range(tree.node_count)
+    )
+    _write_atomic(path, itertools.chain([f"hier v1 {tree.n_leaves}\n"], lines))
 
 
 def read_tree(path) -> HierarchyTree:

@@ -16,14 +16,15 @@ seed set) is built from the CSR on first use and cached on the graph.
 
 from __future__ import annotations
 
-import operator
+import itertools
+import os
 import re
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import FormatError
-from ._rng import DOMAIN_GNM, generator
+from ._rng import DOMAIN_GNM, _integer, generator
 
 _NODES_HEADER = re.compile(r"^#\s*nodes:\s*(\d+)\s*$")
 
@@ -44,7 +45,7 @@ class Graph:
     """
 
     def __init__(self, n, edges, orig_ids=None):
-        n = int(n)
+        n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
@@ -126,13 +127,8 @@ class Graph:
 
     def write(self, path) -> None:
         """Emit '# nodes: N' followed by 'u v' lines, u < v, ascending."""
-        import os
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            fh.write(f"# nodes: {self._n}\n")
-            for u, v in self._edges:
-                fh.write(f"{u} {v}\n")
-        os.replace(tmp, path)
+        header = [f"# nodes: {self._n}\n"]
+        _write_atomic(path, itertools.chain(header, (f"{u} {v}\n" for u, v in self._edges)))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -150,13 +146,14 @@ class _ComponentIndex:
     """Connected components of a CSR graph, numbered by smallest vertex.
 
     Vertex v lies in component labels[v] at local column local[v] (both kept
-    only for split).  members[ci] lists component ci's vertices in ascending
-    order, and indptr[ci], indices[ci] and degrees[ci] are its adjacency in
-    local columns: the graph's CSR rows of members[ci], remapped through
-    local.  members, indices and degrees are read-only views of arrays that
-    all components share.  class_tables holds, per cascade model, the
-    count-class bucket table over the graph's distinct degrees that the
-    Monte Carlo oracle builds on first use (cascade.py).
+    only for split, which groups a seed set that _seed_key has checked and
+    checks nothing itself).  members[ci] lists component ci's vertices in
+    ascending order, and indptr[ci], indices[ci] and degrees[ci] are its
+    adjacency in local columns: the graph's CSR rows of members[ci],
+    remapped through local.  members, indices and degrees are read-only
+    views of arrays that all components share.  class_tables holds, per
+    cascade model, the count-class bucket table over the graph's distinct
+    degrees that the Monte Carlo oracle builds on first use (cascade.py).
     """
 
     def __init__(self, csr):
@@ -183,31 +180,39 @@ class _ComponentIndex:
         self._where = list(zip(labels.tolist(), local.tolist()))
         self.class_tables: dict = {}
 
-    def split(self, seeds) -> list[tuple[int, tuple[int, ...]]]:
-        """The distinct seeds as (component, sorted local columns), by component.
-
-        Raises ValueError for a seed outside [0, n) or one that is not an
-        integer.
-        """
-        seed_list = sorted({_vertex_id(v) for v in seeds})
-        if seed_list and (seed_list[0] < 0 or seed_list[-1] >= len(self._where)):
-            raise ValueError("seed outside vertex range")
+    def split(self, key) -> list[tuple[int, tuple[int, ...]]]:
+        """The seeds of a checked key as (component, sorted local columns), by component."""
         groups: dict[int, list[int]] = {}
-        for v in seed_list:
+        for v in sorted(key):
             ci, col = self._where[v]
             groups.setdefault(ci, []).append(col)
         return [(ci, tuple(cols)) for ci, cols in sorted(groups.items())]
 
 
-def _vertex_id(v) -> int:
-    """v as an int, through operator.index: 1.5 or "1" raise ValueError, not
-    truncate, and a bool is refused rather than read as 0 or 1."""
-    if v.__class__ is not bool:  # numpy's bool has no __index__
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise ValueError(f"vertex id {v!r} is not an integer")
+class _SeedKey(frozenset):
+    """A seed set that _seed_key has checked: ints in [0, n)."""
+
+    __slots__ = ()
+
+
+def _seed_key(seeds, n: int) -> _SeedKey:
+    """seeds as a _SeedKey.  Raises ValueError for an id that is not an
+    integer (see _integer) or one outside [0, n).  A _SeedKey is returned as
+    it is: only this function makes one, so it has been checked."""
+    if seeds.__class__ is _SeedKey:
+        return seeds
+    key = _SeedKey(map(_integer, seeds, itertools.repeat("vertex id")))
+    if key and (min(key) < 0 or max(key) >= n):
+        raise ValueError("seed outside vertex range")
+    return key
+
+
+def _write_atomic(path, lines) -> None:
+    """Stream the strings lines to path through a temporary file, replaced in one step."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(lines)
+    os.replace(tmp, path)
 
 
 def load_edge_list(path) -> Graph:
@@ -272,7 +277,7 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     Deterministic in seed.  Edges are drawn by rejection sampling of
     unordered pairs, which is uniform over m-subsets of the pair universe.
     """
-    n, m = int(n), int(m)
+    n, m = _integer(n, "n"), _integer(m, "m")
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     max_m = n * (n - 1) // 2

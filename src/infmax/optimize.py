@@ -32,6 +32,7 @@ from .cascade import (
 )
 from .decomposition import HierarchyTree
 from .errors import CapacityError, ConsistencyError
+from ._rng import _integer
 
 LR = ("L", "R")
 LU = ("L", "U")
@@ -83,7 +84,7 @@ def _final_estimate(oracle, seeds) -> SigmaEstimate:
 
 def _check(graph, k: int, tree: HierarchyTree | None = None) -> int:
     """Validated k; the tree, when given, must have one leaf per vertex."""
-    k = int(k)
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > graph.n:
@@ -203,7 +204,7 @@ class AllocationTable:
     """
 
     def __init__(self, tree: HierarchyTree, k: int):
-        self.k = int(k)
+        self.k = _integer(k, "k")
         self._tree = tree
         self._data: dict[tuple[int, tuple, int], tuple[int, int]] = {}
 
@@ -331,6 +332,7 @@ def mpa(graph, tree: HierarchyTree, model, k: int, cfg, max_outer: int = 20) -> 
     draws, until no improvement or max_outer sweeps.  Returns the best
     accepted set.
     """
+    max_outer = _integer(max_outer, "max_outer")
     if max_outer < 0:
         raise ValueError("max_outer must be nonnegative")
 

@@ -13,7 +13,7 @@ from .cascade import CascadeModel
 from .decomposition import HierarchyTree, tree_from_nested
 from .errors import CapacityError
 from .graph import Graph
-from ._rng import DOMAIN_HIER, generator
+from ._rng import DOMAIN_HIER, _integer, generator
 
 
 def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, HierarchyTree]:
@@ -32,6 +32,7 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
     Returns the graph and the guide tree's shape as the ground-truth
     decomposition.
     """
+    d, l, t = _integer(d, "d"), _integer(l, "l"), _integer(t, "t")
     if d < 1:
         raise ValueError("depth d must be >= 1")
     if l < 1:
@@ -127,6 +128,7 @@ def gen_worstcase(n: int) -> WorstCaseInstance:
     Vertex layout: clique 0..n-1; first star center n with leaves
     n+1..n+n^2; second star center n+n^2+1 with leaves after it.
     """
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError("n must be >= 3")
     clique = list(range(n))

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infmax import cascade
+from infmax._rng import _integer
+from infmax.graph import _SeedKey, _seed_key
 from infmax import (
     CRN,
     INDEPENDENT,
@@ -905,6 +907,28 @@ def test_exact_sigma_many_loops_sigma():
     batched = ExactOracle(g, model)
     assert batched.sigma_many(_BATCH) == expected
     assert batched.calls == len(_BATCH)
+
+
+@pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
+def test_sigma_many_checks_each_id_once(mode):
+    g = _batch_graph()
+    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(30, 9, mode))
+    with mock.patch("infmax.graph._integer", wraps=_integer) as check:
+        oracle.sigma_many(_BATCH)
+    assert check.call_count == sum(len(s) for s in _BATCH)
+
+
+def test_checked_seed_key_is_not_checked_again():
+    g = _batch_graph()
+    key = _seed_key([2, 30, 47, 30], g.n)
+    assert type(key) is _SeedKey and key == {2, 30, 47}
+    with mock.patch("infmax.graph._integer", side_effect=AssertionError("checked again")):
+        assert _seed_key(key, g.n) is key
+        assert g._component_index().split(key) == g._component_index().split([2, 30, 47])
+    # a plain frozenset is no checked key
+    for bad, message in ((frozenset({2, 60}), "seed outside"), (frozenset({1.5}), "not an integer")):
+        with pytest.raises(ValueError, match=message):
+            _seed_key(bad, g.n)
 
 
 @pytest.mark.parametrize(

@@ -456,3 +456,40 @@ def test_python_dash_m_runs_the_cli():
     assert out.returncode == 0, out.stderr
     assert "maximize" in out.stdout
     assert out.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"algorithms": "greedy, greedy"},
+        {"k": "1, 1"},
+        {"cascade": "ltm; ltm"},
+        {"cascade": "ltm; LTM"},
+        {"cascade": "icm:p=0.1; icm:p=0.10"},
+    ],
+    ids=["algorithm", "k", "cascade", "cascade-case", "cascade-float"],
+)
+def test_bench_repeated_list_entry_is_exit_3(tmp_path, over):
+    # a repeated entry would write one cell's rows twice, under two row seeds
+    cfg = tmp_path / "bench.cfg"
+    out = _write_config(cfg, **over)
+    with pytest.raises(FormatError, match="repeated"):
+        parse_bench_config(cfg)
+    assert run("bench", "--config", cfg) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        ("gnm:n=10,m=16", r"gnm source takes parameters \['n', 'm', 'seed'\], got \['m', 'n'\]"),
+        ("gnm:n=10,m=16,seed=3,p=1", r"bad gnm source parameter 'p=1'"),
+        ("hier:d=3,l=2,t=1,seed=2.5", r"bad hier source parameter value '2.5'"),
+    ],
+)
+def test_bench_graph_source_errors(tmp_path, graph, message):
+    # graph sources follow the model-spec rules (cascade._parse_params)
+    cfg = tmp_path / "bench.cfg"
+    _write_config(cfg, graph=graph)
+    with pytest.raises(FormatError, match=message):
+        infmax.run_bench(parse_bench_config(cfg))

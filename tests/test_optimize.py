@@ -3,6 +3,7 @@ import itertools
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from infmax import (
@@ -506,3 +507,40 @@ def test_optimizers_pinned_midsize():
 
 
 _MIDSIZE_PIN = "e94b41649fd742516c37ad423bd5162bdabeddd531ba588898dfd574b8f70a25"
+
+
+_SMALL = gen_gnm(8, 12, seed=4)
+_SMALL_TREE = build_bisection(_SMALL, 1)
+_ICM, _CFG = CascadeModel.icm(0.3), OracleConfig(20, 1)
+
+# Every count the API takes: (a valid value, the call with that count set to v).
+_COUNTS = {
+    "Graph.n": (2, lambda v: Graph(v, [(0, 1)])),
+    "gen_gnm.n": (6, lambda v: gen_gnm(v, 4, 1)),
+    "gen_gnm.m": (4, lambda v: gen_gnm(6, v, 1)),
+    "gen_hierarchical.d": (2, lambda v: gen_hierarchical(v, 3, 1, 1)),
+    "gen_hierarchical.l": (3, lambda v: gen_hierarchical(2, v, 1, 1)),
+    "gen_hierarchical.t": (1, lambda v: gen_hierarchical(2, 3, v, 1)),
+    "gen_worstcase.n": (3, lambda v: gen_worstcase(v).graph),
+    "greedy.k": (2, lambda v: greedy(_SMALL, _ICM, v, _CFG)),
+    "dpim.k": (2, lambda v: dpim(_SMALL, _SMALL_TREE, _ICM, v, _CFG)),
+    "mpa.k": (2, lambda v: mpa(_SMALL, _SMALL_TREE, _ICM, v, _CFG, max_outer=1)),
+    "mpa.max_outer": (2, lambda v: mpa(_SMALL, _SMALL_TREE, _ICM, 2, _CFG, max_outer=v)),
+    "brute_force.k": (2, lambda v: brute_force(_SMALL, _ICM, v, _CFG)),
+    "mpa_init_table.k": (2, lambda v: mpa_init_table(_SMALL, _SMALL_TREE, _ICM, v, _CFG)._data),
+    "mpa_update.k": (2, lambda v: mpa_update(
+        _SMALL, _SMALL_TREE, _ICM, v, _CFG, AllocationTable(_SMALL_TREE, 2), _SMALL_TREE.root, ("L", "R")
+    )._data),
+    "AllocationTable.k": (2, lambda v: AllocationTable(_SMALL_TREE, v).k),
+    "ExactOracle.budget": (50, lambda v: ExactOracle(_SMALL, _ICM, budget=v).budget),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_counts_must_be_integers(name):
+    # a count is never truncated (2.5), read from a bool or parsed from text
+    good, call = _COUNTS[name]
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            call(bad)
+    assert call(np.int64(good)) == call(good)
