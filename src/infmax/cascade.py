@@ -110,13 +110,8 @@ class CascadeModel:
     @property
     def spec(self) -> str:
         """Canonical spec string, parseable by parse_model."""
-        if self.kind == "icm":
-            return f"icm:p={self.p!r}"
-        if self.kind == "dicm":
-            return f"dicm:p={self.p!r},q={self.q!r}"
-        if self.kind == "twostep":
-            return f"twostep:eps={self.eps!r}"
-        return self.kind
+        params = ",".join(f"{name}={getattr(self, name)!r}" for name in _MODEL_PARAMS[self.kind])
+        return f"{self.kind}:{params}" if params else self.kind
 
     def f_table(self, d: int) -> np.ndarray:
         """f(c, d) for c = 0..d as a read-only vector."""
@@ -606,9 +601,17 @@ class ExactOracle:
     neighbors are all infected are marginalized in closed form (their
     activation cannot influence anyone else), and otherwise the walk
     branches on whether the smallest undecided vertex activates at its
-    current count, activating branch first, on an explicit stack.  States
-    are memoized; the explored-state budget guards against exponential
-    blowups and raises CapacityError when exceeded.
+    current count, activating branch first, on an explicit stack.
+
+    A state is keyed by its infected mask and the frozenset of (vertex,
+    survived count) pairs with a nonzero count; a vertex's survived count is
+    the infected-neighbor count it is known not to have activated at, and
+    every count written is at least 1, so the key is one to one with the
+    full vector of counts.  One memo per component maps each state key to
+    its value; a query's start state (its seeds' mask, no counts) is one
+    more key in it, so a repeated seed set is one memo hit per component.
+    The explored-state budget guards against exponential blowups and raises
+    CapacityError when exceeded.
 
     calls counts every sigma()/value() invocation, cache hits included.
     """
@@ -621,27 +624,20 @@ class ExactOracle:
         self._states = 0
         self._index = index = graph._component_index()
         # Per component: neighbor bitmasks over local columns, degrees and
-        # f tables of its vertices (one shared list per distinct degree).
+        # f tables of its vertices (one shared list per distinct degree),
+        # and its state memo.
         by_degree = {d: model.f_table(d).tolist() for d in set(graph.degrees.tolist())}
-        self._comp_local: list[tuple] = []
-        self._result_memo: dict[tuple, float] = {}
-        self._state_memos: list[dict] = []
+        self._comps: list[tuple] = []
         for indptr, indices, degrees in zip(index.indptr, index.indices, index.degrees):
             bounds, cols, degs = indptr.tolist(), indices.tolist(), tuple(degrees.tolist())
             masks = tuple(sum(1 << c for c in cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-            self._comp_local.append((masks, degs, tuple(by_degree[d] for d in degs)))
-            self._state_memos.append({})
+            self._comps.append((masks, degs, tuple(by_degree[d] for d in degs), {}))
 
     def value(self, seeds) -> float:
         """Exact expected infected count."""
         self.calls += 1
-        parts = []
-        for key in self._index.split(_seed_key(seeds, self.graph.n)):
-            val = self._result_memo.get(key)
-            if val is None:
-                val = self._result_memo[key] = self._component_value(*key)
-            parts.append(val)
-        return math.fsum(parts)
+        key = _seed_key(seeds, self.graph.n)
+        return math.fsum(self._component_value(*pair) for pair in self._index.split(key))
 
     def sigma(self, seeds) -> SigmaEstimate:
         return SigmaEstimate(self.value(seeds), 0.0, 0)
@@ -651,14 +647,12 @@ class ExactOracle:
         return [self.sigma(seeds) for seeds in sets]
 
     def _component_value(self, ci: int, seed_cols) -> float:
-        masks, degs, tables = self._comp_local[ci]
-        nc = len(masks)
-        memo = self._state_memos[ci]
-        # A depth-first walk.  todo holds state keys (infected mask, survived
-        # counts) still to value, and branch points (key, gain, p), each
-        # pushed below its "no" key and then its "yes" key; once both are
-        # valued, their values are the last two on vals.
-        todo = [(sum(1 << c for c in seed_cols), (0,) * nc)]
+        masks, degs, tables, memo = self._comps[ci]
+        # A depth-first walk.  todo holds state keys still to value, and
+        # branch points (key, gain, p), each pushed below its "no" key and
+        # then its "yes" key; once both are valued, their values are the
+        # last two on vals.
+        todo = [(sum(1 << c for c in seed_cols), frozenset())]
         vals = []
         while todo:
             key = todo.pop()
@@ -670,21 +664,24 @@ class ExactOracle:
                 self._states += 1
                 if self._states > self.budget:
                     raise CapacityError(f"exact oracle exceeded {self.budget} explored states")
-                I, slist = key[0], list(key[1])
+                I, surv = key[0], dict(key[1])
                 # Scan until a scan changes nothing: certain activations may
                 # cascade, and zero-probability steps just raise the
                 # survived count.  The last scan also credits each vertex
                 # whose neighbors are all infected (its fate affects nobody,
                 # so take its activation probability directly) and picks the
-                # first vertex left to branch on.
+                # first vertex left to branch on.  A vertex with no infected
+                # neighbor has c = 0 <= s and is skipped before its lookup.
                 changed = True
                 while changed:
                     changed, credits, branch = False, {}, None
-                    for v in range(nc):
+                    for v in range(len(masks)):
                         if I >> v & 1:
                             continue
                         c = (I & masks[v]).bit_count()
-                        s = slist[v]
+                        if not c:
+                            continue
+                        s = surv.get(v, 0)
                         if c <= s:
                             continue
                         table = tables[v]
@@ -694,7 +691,7 @@ class ExactOracle:
                             I |= 1 << v
                             changed = True
                         elif p <= 0.0:
-                            slist[v] = c
+                            surv[v] = c
                             changed = True
                         elif c == degs[v]:
                             credits[v] = p
@@ -703,14 +700,13 @@ class ExactOracle:
                 # Credited only now: a credit taken during a scan that
                 # changed something would be lost on the rescan.
                 for v in credits:
-                    slist[v] = degs[v]
+                    surv[v] = degs[v]
                 gain = math.fsum(credits.values())
                 if branch is not None:
                     v, c, p = branch
-                    surv = list(slist)
-                    surv[v] = c
-                    slist[v] = 0
-                    todo += [(key, gain, p), (I, tuple(surv)), (I | 1 << v, tuple(slist))]
+                    no = frozenset({**surv, v: c}.items())
+                    surv.pop(v, None)
+                    todo += [(key, gain, p), (I, no), (I | 1 << v, frozenset(surv.items()))]
                     continue
                 val = memo[key] = float(I.bit_count()) + gain
             vals.append(val)

@@ -30,7 +30,7 @@ from .decomposition import (
     write_tree,
 )
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graph import Graph, _write_atomic, gen_gnm, load_edge_list
+from .graph import Graph, _parse_int, _write_atomic, gen_gnm, load_edge_list
 from .optimize import brute_force, dpim, greedy, mpa
 from .synthgen import gen_hierarchical, gen_worstcase
 from ._rng import DOMAIN_BENCH_ROW, DOMAIN_BENCH_TREE, mix64
@@ -55,10 +55,7 @@ def _read_seed_file(path, n: int) -> list[int]:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            try:
-                v = int(stripped)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer seed id") from None
+            v = _parse_int(stripped, f"{path}:{lineno}: seed id")
             if not 0 <= v < n:
                 raise ConsistencyError(f"{path}:{lineno}: seed id {v} outside vertex range [0, {n})")
             seeds.append(v)
@@ -227,10 +224,7 @@ def parse_bench_config(path) -> BenchConfig:
     def as_int(key, default=None, minimum=None):
         if key not in values:
             return default
-        try:
-            out = int(values[key])
-        except ValueError:
-            raise FormatError(f"{path}: key {key!r} must be an integer") from None
+        out = _parse_int(values[key], f"{path}: key {key!r} value")
         if minimum is not None and out < minimum:
             raise FormatError(f"{path}: key {key!r} must be >= {minimum}")
         return out
@@ -250,10 +244,7 @@ def parse_bench_config(path) -> BenchConfig:
             specs.append(parse_model(spec).spec)
         except ValueError as exc:
             raise FormatError(f"{path}: bad cascade {spec!r}: {exc}") from None
-    try:
-        ks = tuple(int(x) for x in values["k"].split(",") if x.strip())
-    except ValueError:
-        raise FormatError(f"{path}: key 'k' must list integers") from None
+    ks = tuple(_parse_int(x, f"{path}: key 'k' entry") for x in values["k"].split(",") if x.strip())
     if not ks or any(k < 0 for k in ks):
         raise FormatError(f"{path}: key 'k' must list nonnegative integers")
     # A repeated entry would write rows for one cell under two row seeds.
@@ -285,7 +276,7 @@ def parse_bench_config(path) -> BenchConfig:
 
 def _parse_kv_spec(spec: str, kind: str, keys: tuple[str, ...]) -> dict[str, int]:
     try:
-        return _parse_params(spec, f"{kind} source", keys, int)
+        return _parse_params(spec, f"{kind} source", keys, _parse_int)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graph import _write_atomic
+from .graph import _parse_int, _write_atomic
 from ._rng import (
     DOMAIN_TREE_BISECTION,
     DOMAIN_TREE_RANDOM_EDGE,
@@ -604,10 +604,7 @@ def read_tree(path) -> HierarchyTree:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "hier" or header[1] != "v1":
             raise FormatError(f"{path}:1: expected 'hier v1 <n>' header")
-        try:
-            n = int(header[2])
-        except ValueError:
-            raise FormatError(f"{path}:1: bad leaf count {header[2]!r}") from None
+        n = _parse_int(header[2], f"{path}:1: leaf count")
         if n < 1:
             raise FormatError(f"{path}:1: leaf count must be positive")
         count = 2 * n - 1
@@ -622,10 +619,8 @@ def read_tree(path) -> HierarchyTree:
             tokens = line.split()
             if len(tokens) != 3:
                 raise FormatError(f"{path}:{lineno}: expected three tokens")
-            try:
-                node, par, lv = (int(t) for t in tokens)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer token") from None
+            where = f"{path}:{lineno}: token"
+            node, par, lv = (_parse_int(t, where) for t in tokens)
             if not 0 <= node < count:
                 raise FormatError(f"{path}:{lineno}: node id {node} out of range")
             if parents[node] != -2:

@@ -1,11 +1,12 @@
 """Undirected simple graphs: representation, edge-list files, G(n,m) sampling.
 
-Edge-list files follow the SNAP convention: whitespace-separated integer
-pairs, lines starting with '#' ignored.  One comment form is significant: a
-line of exactly "# nodes: N" declares the vertex count, which is the only way
-to represent isolated vertices.  Files with that header are treated as
-canonical (ids are used as-is and must be dense-compatible); files without it
-have their ids remapped to [0, n) in first-appearance order.
+Edge-list files follow the SNAP convention: whitespace-separated pairs of
+ASCII integers, lines starting with '#' ignored.  One comment form is
+significant: a line of exactly "# nodes: N" declares the vertex count, which
+is the only way to represent isolated vertices.  Files with that header are
+treated as canonical (ids are used as-is and must be dense-compatible);
+files without it have their ids remapped to [0, n) in first-appearance
+order.
 
 A Graph holds its adjacency as one int32 CSR matrix, built with the graph;
 neighbor lists and degrees are read from it.  The connected-component index
@@ -26,6 +27,7 @@ import scipy.sparse as sp
 from .errors import FormatError
 from ._rng import DOMAIN_GNM, _integer, generator
 
+# \d also matches non-ASCII digits, so such a header is read, and refused.
 _NODES_HEADER = re.compile(r"^#\s*nodes:\s*(\d+)\s*$")
 
 
@@ -215,6 +217,19 @@ def _write_atomic(path, lines) -> None:
     os.replace(tmp, path)
 
 
+def _parse_int(text: str, what: str = "value") -> int:
+    """The integer that text spells in ASCII, [+-]?[0-9]+ between optional
+    whitespace: every integer in a file is read through it.  Anything else,
+    such as 1_0 or non-ASCII digits that int() alone would read, raises
+    FormatError (a ValueError) "<what> <text> is not an integer"."""
+    try:
+        if text.isascii() and "_" not in text:
+            return int(text)
+    except ValueError:
+        pass
+    raise FormatError(f"{what} {text!r} is not an integer")
+
+
 def load_edge_list(path) -> Graph:
     """Parse an edge-list file into a Graph.
 
@@ -233,15 +248,13 @@ def load_edge_list(path) -> Graph:
             if stripped.startswith("#"):
                 header = _NODES_HEADER.match(stripped)
                 if header:
-                    forced_n = int(header.group(1))
+                    forced_n = _parse_int(header.group(1), f"{path}:{lineno}: node count")
                 continue
             tokens = stripped.split()
             if len(tokens) != 2:
                 raise FormatError(f"{path}:{lineno}: expected two tokens, got {len(tokens)}")
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer token") from None
+            where = f"{path}:{lineno}: vertex id"
+            u, v = _parse_int(tokens[0], where), _parse_int(tokens[1], where)
             pairs.append((u, v, lineno))
 
     edges = set()

@@ -189,11 +189,6 @@ def dpim(graph, tree: HierarchyTree, model, k: int, cfg) -> SeedSet:
     return _search(graph, model, k, cfg, search, tree)
 
 
-def _check_node(tree: HierarchyTree, node: int) -> None:
-    if not 0 <= node < tree.node_count:
-        raise ValueError(f"node {node} is outside the tree")
-
-
 class AllocationTable:
     """Split advice A(node, direction pair, budget) -> (into first, into second).
 
@@ -209,10 +204,14 @@ class AllocationTable:
         self._data: dict[tuple[int, tuple, int], tuple[int, int]] = {}
 
     def _key(self, node: int, dpair, ell: int) -> tuple[int, tuple, int]:
+        """The checked key: node and budget through _integer, inside the
+        tree and 0..k, and a known direction pair."""
         dpair = tuple(dpair)
         if dpair not in DIRECTION_PAIRS:
             raise ValueError(f"bad direction pair {dpair!r}")
-        _check_node(self._tree, node)
+        node, ell = _integer(node, "node"), _integer(ell, "budget")
+        if not 0 <= node < self._tree.node_count:
+            raise ValueError(f"node {node} is outside the tree")
         if not 0 <= ell <= self.k:
             raise ValueError(f"budget {ell} is outside 0..{self.k}")
         return (node, dpair, ell)
@@ -221,12 +220,13 @@ class AllocationTable:
         return self._data.get(self._key(node, dpair, ell), (0, 0))
 
     def set(self, node: int, dpair, ell: int, s1: int, s2: int) -> None:
-        key = self._key(node, dpair, ell)
+        key = node, dpair, ell = self._key(node, dpair, ell)
+        s1, s2 = _integer(s1, "share"), _integer(s2, "share")
         if s1 < 0 or s2 < 0 or s1 + s2 > ell:
             raise ValueError(f"split ({s1}, {s2}) invalid for budget {ell}")
-        if node == self._tree.root and key[1] != LR and s2 != 0:
+        if node == self._tree.root and dpair != LR and s2 != 0:
             raise ValueError("root has no U side; its U share must be 0")
-        self._data[key] = (int(s1), int(s2))
+        self._data[key] = (s1, s2)
 
 
 def _follow(tree: HierarchyTree, node: int, direction: str):
@@ -245,12 +245,15 @@ def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair
     """Follow the table's advice from (node, dpair, ell) to the leaves it reaches.
 
     The walk keeps an explicit stack of (node, dpair, ell) steps, so its
-    depth is not bounded by Python's recursion limit.  The entry step is
-    checked as the table checks a key; every later step comes from the
-    table's own entries, which are read directly.
+    depth is not bounded by Python's recursion limit.  The table must have
+    been built for tree, and the entry step is checked as the table checks
+    a key (a negative budget retrieves nothing); every later step comes from
+    the table's own entries, which are read directly.
     """
-    _check_node(tree, node)
-    dpair = table._key(node, dpair, max(ell, 0))[1]
+    if table._tree is not tree:
+        raise ConsistencyError("allocation table was built for another tree")
+    ell = _integer(ell, "budget")
+    node, dpair, _ = table._key(node, dpair, max(ell, 0))
     advice = table._data
     found: list[int] = []
     stack = [(node, dpair, ell)]
@@ -301,10 +304,7 @@ def mpa_update(graph, tree: HierarchyTree, model, k: int, cfg, table: Allocation
     k = _check(graph, k, tree)
     if table.k != k or table._tree is not tree:
         raise ConsistencyError("allocation table was built for another tree or another k")
-    dpair = tuple(dpair)
-    if dpair not in DIRECTION_PAIRS:
-        raise ValueError(f"bad direction pair {dpair!r}")
-    _check_node(tree, node)
+    node, dpair, _ = table._key(node, dpair, 0)
     if tree.is_leaf(node):
         raise ValueError("updates apply to internal nodes only")
     _update(_make_oracle(graph, model, cfg), tree, k, table, node, dpair)

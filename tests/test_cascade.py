@@ -583,6 +583,36 @@ def test_exact_long_path_has_no_depth_limit():
     assert sigma_exact(g, CascadeModel.icm(0.5), [0]) == 2.0
 
 
+def _exact_memory_after_one_query(n):
+    """Bytes the exact oracle still holds after valuing [0] on an n-vertex
+    icm:p=0.5 path (about 2n states), counted by tracemalloc."""
+    oracle = ExactOracle(Graph(n, [(i, i + 1) for i in range(n - 1)]), CascadeModel.icm(0.5))
+    tracemalloc.start()
+    try:
+        oracle.value([0])
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_memory_grows_linearly_on_a_path():
+    # A state key holds only the nonzero survived counts, so doubling the
+    # path about doubles what the memo keeps; keys holding a full
+    # component-length tuple would about quadruple it.
+    small, large = _exact_memory_after_one_query(150), _exact_memory_after_one_query(300)
+    assert large < 2.5 * small
+
+
+def test_exact_repeated_set_is_one_memo_hit():
+    g = gen_gnm(10, 20, seed=3)
+    oracle = ExactOracle(g, CascadeModel.icm(0.5))
+    first = oracle.sigma([4, 1])
+    states = oracle._states
+    assert states > 0
+    assert repr(oracle.sigma([1, 4])) == repr(first)
+    assert oracle._states == states
+
+
 def test_exact_oracle_freed_without_cycle_collector():
     g = gen_gnm(7, 10, seed=1)
     gc.disable()

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -493,3 +495,91 @@ def test_bench_graph_source_errors(tmp_path, graph, message):
     _write_config(cfg, graph=graph)
     with pytest.raises(FormatError, match=message):
         infmax.run_bench(parse_bench_config(cfg))
+
+
+# ---------------------------------------------------------------- integers in files
+
+# int() alone reads each of these: 1_0 as 10, and the Arabic-Indic and
+# full-width digits as 3, 12 and 2.
+_NOT_ASCII_INTEGERS = ["1_0", "٣", "١٢", "２"]
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_INTEGERS)
+def test_edge_list_integers_are_ascii_digits(tmp_path, token):
+    # a nodes header of non-ASCII digits is refused; one that is not all
+    # digits (1_0, many) stays a comment
+    p = tmp_path / "g.txt"
+    texts = [f"0 {token}\n"] + [f"# nodes: {token}\n0 1\n"] * token.isdigit()
+    for text in texts:
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_edge_list(p)
+        assert run("decompose", "--method", "jaccard", "--graph", p, "--out", tmp_path / "t.tree") == 3
+    p.write_text("# nodes: many\n0 1\n")
+    assert load_edge_list(p).n == 2
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_INTEGERS)
+def test_seed_file_integers_are_ascii_digits(tmp_path, capsys, token):
+    # 13 vertices, so every misread id would be in range
+    graph, seeds = tmp_path / "g.txt", tmp_path / "s.txt"
+    graph.write_text("# nodes: 13\n0 1\n")
+    seeds.write_text(f"{token}\n", encoding="utf-8")
+    assert run("sigma", "--graph", graph, "--cascade", "ltm", "--seeds", seeds, "--exact") == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_INTEGERS)
+def test_tree_file_integers_are_ascii_digits(tmp_path, token):
+    p = tmp_path / "t.tree"
+    rows = ["hier v1 2", "0 2 0", "1 2 1", "2 -1 -1"]
+    p.write_text("\n".join(rows) + "\n")
+    assert read_tree(p).n_leaves == 2
+    for i, bad in ((0, f"hier v1 {token}"), (1, f"0 2 {token}"), (3, f"2 -1 -{token}")):
+        p.write_text("\n".join([*rows[:i], bad, *rows[i + 1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError):
+            read_tree(p)
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_INTEGERS)
+def test_bench_config_integers_are_ascii_digits(tmp_path, token):
+    cfg = tmp_path / "bench.cfg"
+    for over in ({"reps": token}, {"master_seed": token}, {"trials": token}, {"k": f"1, {token}"}):
+        out = _write_config(cfg, **over)
+        with pytest.raises(FormatError, match="integer"):
+            parse_bench_config(cfg)
+        assert run("bench", "--config", cfg) == 3
+        assert not out.exists()
+    _write_config(cfg, graph=f"gnm:n={token},m=16,seed=3")
+    with pytest.raises(FormatError, match="bad gnm source parameter value"):
+        infmax.run_bench(parse_bench_config(cfg))
+
+
+# ---------------------------------------------------------------- silence
+
+
+def test_library_and_cli_print_nothing_unasked(tmp_path, capfd, caplog):
+    # A caller reads the CLI's one result line from stdout, so neither the
+    # optimizers nor the oracles may print, warn or log on their own.
+    g = infmax.gen_gnm(10, 16, seed=3)
+    tree = infmax.build_bisection(g, 1)
+    model = infmax.CascadeModel.icm(0.3)
+    graph, tree_file, out = tmp_path / "g.txt", tmp_path / "t.tree", tmp_path / "s.txt"
+    g.write(graph)
+    infmax.write_tree(tree, tree_file)
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for cfg in (infmax.OracleConfig(20, 1), "exact"):
+            infmax.greedy(g, model, 2, cfg)
+            infmax.dpim(g, tree, model, 2, cfg)
+            infmax.mpa(g, tree, model, 2, cfg, max_outer=2)
+        assert capfd.readouterr() == ("", "")
+        rc = run("maximize", "--algo", "mpa", "--graph", graph, "--tree", tree_file,
+                 "--cascade", "icm:p=0.3", "--k", 2, "--reps", 20, "--seed", 1, "--out", out)
+    assert rc == 0
+    stdout, stderr = capfd.readouterr()
+    assert stderr == ""
+    assert re.fullmatch(r"sigma \S+ \S+ reps 20 oracle_calls \d+\n", stdout)
+    assert not caught
+    assert not caplog.records

@@ -289,6 +289,43 @@ def test_walks_reject_nodes_outside_the_tree():
             mpa_update(g, tree, model, 1, "exact", table, node, ("L", "R"))
 
 
+def test_table_keys_and_shares_must_be_integers():
+    # int() would have stored (1, 0), keyed budget 1.5 and read True as node 1
+    tree = tree_from_nested(((0, 1), (2, 3)))
+    table = _table_for(tree, 2)
+    root, LR = tree.root, ("L", "R")
+    for call in (
+        lambda: table.set(root, LR, 2, 1.5, 0.5),
+        lambda: table.set(root, LR, 1.5, 1, 0),
+        lambda: table.set(root, LR, 2, True, 1),
+        lambda: table.get(True, LR, 1),
+        lambda: table.get(root, LR, "1"),
+        lambda: retrieve_seeds(tree, table, 1.5, LR, 2),
+        lambda: retrieve_seeds(tree, table, root, LR, 1.5),
+    ):
+        with pytest.raises(ValueError, match="not an integer"):
+            call()
+    assert not table._data
+    # numpy integers are stored as ints
+    table.set(np.int64(root), LR, np.int64(2), np.int64(1), np.int64(1))
+    ((node, _, ell), split), = table._data.items()
+    assert (node, ell, split) == (root, 2, (1, 1))
+    assert {type(x) for x in (node, ell, *split)} == {int}
+
+
+def test_walk_refuses_a_table_built_for_another_tree():
+    # the same n, so every node id is in range: the walk would read the
+    # other tree's advice and find nothing
+    tree, other = tree_from_nested(((0, 1), (2, 3))), tree_from_nested(((0, 2), (1, 3)))
+    table = _table_for(tree, 2)
+    table.set(tree.root, ("L", "R"), 2, 1, 1)
+    for child in (tree.left(tree.root), tree.right(tree.root)):
+        table.set(child, ("L", "R"), 1, 1, 0)
+    with pytest.raises(ConsistencyError, match="another tree"):
+        retrieve_seeds(other, table, other.root, ("L", "R"), 2)
+    assert len(retrieve_seeds(tree, table, tree.root, ("L", "R"), 2)) == 2
+
+
 # ---------------------------------------------------------------- mpa
 
 
