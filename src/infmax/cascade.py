@@ -603,14 +603,23 @@ class ExactOracle:
     branches on whether the smallest undecided vertex activates at its
     current count, activating branch first, on an explicit stack.
 
-    A state is keyed by its infected mask and the frozenset of (vertex,
-    survived count) pairs with a nonzero count; a vertex's survived count is
-    the infected-neighbor count it is known not to have activated at, and
-    every count written is at least 1, so the key is one to one with the
-    full vector of counts.  One memo per component maps each state key to
-    its value; a query's start state (its seeds' mask, no counts) is one
-    more key in it, so a repeated seed set is one memo hit per component.
-    The explored-state budget guards against exponential blowups and raises
+    Only the core, the vertices of degree at least 2, goes through that
+    per-vertex scan.  A degree-1 vertex (a pendant) has an infected
+    neighbor only once its one neighbor, its hub, is infected, and then its
+    count is 1, its degree: it never branches, and whether it activates,
+    survives at count 1 or is credited f(1, 1) changes no other vertex's
+    count.  So the pendants of all infected hubs are settled together, in
+    one step per state, all in the same way, since f(1, 1) is one number.
+
+    A state is keyed by its infected mask, the mask of pendants that
+    survived at count 1, and the frozenset of core (vertex, survived count)
+    pairs with a nonzero count; a vertex's survived count is the
+    infected-neighbor count it is known not to have activated at, and every
+    count written is at least 1, so the key is one to one with the full
+    vector of counts.  One memo per component maps each state key to its
+    value; a query's start state (its seeds' mask, no counts) is one more
+    key in it, so a repeated seed set is one memo hit per component.  The
+    explored-state budget guards against exponential blowups and raises
     CapacityError when exceeded.
 
     calls counts every sigma()/value() invocation, cache hits included.
@@ -623,15 +632,23 @@ class ExactOracle:
         self.calls = 0
         self._states = 0
         self._index = index = graph._component_index()
-        # Per component: neighbor bitmasks over local columns, degrees and
-        # f tables of its vertices (one shared list per distinct degree),
-        # and its state memo.
+        # Per component: the core's (local column, neighbor bitmask, degree,
+        # f table) in column order (one shared table per distinct degree),
+        # each hub's (column, mask of its pendants), and the state memo.
+        # _p1 = f(1, 1) is every pendant's chance once its hub is infected.
         by_degree = {d: model.f_table(d).tolist() for d in set(graph.degrees.tolist())}
+        self._p1 = model.f_table(1).tolist()[1]
         self._comps: list[tuple] = []
         for indptr, indices, degrees in zip(index.indptr, index.indices, index.degrees):
-            bounds, cols, degs = indptr.tolist(), indices.tolist(), tuple(degrees.tolist())
-            masks = tuple(sum(1 << c for c in cols[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-            self._comps.append((masks, degs, tuple(by_degree[d] for d in degs), {}))
+            bounds, cols = indptr.tolist(), indices.tolist()
+            core, pend = [], {}
+            for v, d in enumerate(degrees.tolist()):
+                lo = bounds[v]
+                if d == 1:
+                    pend[cols[lo]] = pend.get(cols[lo], 0) | 1 << v
+                elif d:
+                    core.append((v, sum(1 << c for c in cols[lo : lo + d]), d, by_degree[d]))
+            self._comps.append((core, tuple(pend.items()), {}))
 
     def value(self, seeds) -> float:
         """Exact expected infected count."""
@@ -647,44 +664,45 @@ class ExactOracle:
         return [self.sigma(seeds) for seeds in sets]
 
     def _component_value(self, ci: int, seed_cols) -> float:
-        masks, degs, tables, memo = self._comps[ci]
-        # A depth-first walk.  todo holds state keys still to value, and
-        # branch points (key, gain, p), each pushed below its "no" key and
-        # then its "yes" key; once both are valued, their values are the
-        # last two on vals.
-        todo = [(sum(1 << c for c in seed_cols), frozenset())]
+        core, pend, memo = self._comps[ci]
+        p1 = self._p1
+        # A depth-first walk.  todo holds state keys (I, P, survived counts)
+        # still to value, and branch points (key, (gain, p)), each pushed
+        # below its "no" key and then its "yes" key; once both are valued,
+        # their values are the last two on vals.
+        todo = [(sum(1 << c for c in seed_cols), 0, frozenset())]
         vals = []
         while todo:
             key = todo.pop()
-            if len(key) == 3:
-                key, gain, p = key
+            if len(key) == 2:
+                key, (gain, p) = key
                 no = vals.pop()
                 val = memo[key] = gain + p * vals.pop() + (1.0 - p) * no
             elif (val := memo.get(key)) is None:
                 self._states += 1
                 if self._states > self.budget:
                     raise CapacityError(f"exact oracle exceeded {self.budget} explored states")
-                I, surv = key[0], dict(key[1])
-                # Scan until a scan changes nothing: certain activations may
-                # cascade, and zero-probability steps just raise the
-                # survived count.  The last scan also credits each vertex
-                # whose neighbors are all infected (its fate affects nobody,
-                # so take its activation probability directly) and picks the
-                # first vertex left to branch on.  A vertex with no infected
-                # neighbor has c = 0 <= s and is skipped before its lookup.
+                I, P, surv = key[0], key[1], dict(key[2])
+                # Scan the core until a scan changes nothing: certain
+                # activations may cascade, and zero-probability steps just
+                # raise the survived count.  The last scan also credits each
+                # vertex whose neighbors are all infected (its fate affects
+                # nobody, so take its activation probability directly) and
+                # picks the first vertex left to branch on.  A vertex with no
+                # infected neighbor has c = 0 <= s and is skipped before its
+                # lookup.
                 changed = True
                 while changed:
-                    changed, credits, branch = False, {}, None
-                    for v in range(len(masks)):
+                    changed, credits, branch = False, [], None
+                    for v, mask, d, table in core:
                         if I >> v & 1:
                             continue
-                        c = (I & masks[v]).bit_count()
+                        c = (I & mask).bit_count()
                         if not c:
                             continue
                         s = surv.get(v, 0)
                         if c <= s:
                             continue
-                        table = tables[v]
                         fs = table[s]
                         p = (table[c] - fs) / (1.0 - fs)
                         if p >= 1.0:
@@ -693,20 +711,38 @@ class ExactOracle:
                         elif p <= 0.0:
                             surv[v] = c
                             changed = True
-                        elif c == degs[v]:
-                            credits[v] = p
+                        elif c == d:
+                            credits.append((v, c, p))
                         elif branch is None:
                             branch = (v, c, p)
                 # Credited only now: a credit taken during a scan that
                 # changed something would be lost on the rescan.
-                for v in credits:
-                    surv[v] = degs[v]
-                gain = math.fsum(credits.values())
+                for v, c, _ in credits:
+                    surv[v] = c
+                # Then the unsettled pendants of every infected hub, all with
+                # p = f(1, 1): they activate, or survive at 1, or are
+                # credited p each and survive at 1.  None of this changes a
+                # core vertex's count, so the core needs no rescan; and a
+                # pendant is the hub only of its own hub (a K2 component),
+                # already infected, so one step settles them all.
+                leaves = 0
+                for h, mask in pend:
+                    if I >> h & 1:
+                        leaves |= mask
+                leaves &= ~(I | P)
+                if p1 >= 1.0:
+                    I |= leaves
+                else:
+                    P |= leaves
+                credited = leaves.bit_count() if 0.0 < p1 < 1.0 else 0
+                # fsum is exactly rounded, so the order of the credits does
+                # not matter.
+                gain = math.fsum(itertools.chain((p for _, _, p in credits), itertools.repeat(p1, credited)))
                 if branch is not None:
                     v, c, p = branch
                     no = frozenset({**surv, v: c}.items())
                     surv.pop(v, None)
-                    todo += [(key, gain, p), (I, no), (I | 1 << v, frozenset(surv.items()))]
+                    todo += [(key, (gain, p)), (I, P, no), (I | 1 << v, P, frozenset(surv.items()))]
                     continue
                 val = memo[key] = float(I.bit_count()) + gain
             vals.append(val)

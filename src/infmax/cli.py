@@ -399,6 +399,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _integer_flag(text: str) -> int:
+    """The argparse type of every integer flag: read by graph._parse_int, so
+    1_0 or non-ASCII digits are a usage error (exit 2), not a number."""
+    try:
+        return _parse_int(text, "value")
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infmax",
@@ -407,31 +416,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-hier", help="generate a hierarchical random-walk network")
-    p.add_argument("--d", type=int, required=True, help="guide tree depth (2^d vertices)")
-    p.add_argument("--l", type=int, required=True, help="edge weight parameter")
-    p.add_argument("--t", type=int, required=True, help="walks per vertex")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--d", type=_integer_flag, required=True, help="guide tree depth (2^d vertices)")
+    p.add_argument("--l", type=_integer_flag, required=True, help="edge weight parameter")
+    p.add_argument("--t", type=_integer_flag, required=True, help="walks per vertex")
+    p.add_argument("--seed", type=_integer_flag)
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-tree", required=True)
     p.set_defaults(func=_cmd_gen_hier)
 
     p = sub.add_parser("gen-worstcase", help="generate the two-stars-plus-clique instance")
-    p.add_argument("--n", type=int, required=True, help="clique size")
+    p.add_argument("--n", type=_integer_flag, required=True, help="clique size")
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-tree", required=True)
     p.set_defaults(func=_cmd_gen_worstcase)
 
     p = sub.add_parser("gen-gnm", help="generate a uniform G(n,m) graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", type=_integer_flag, required=True)
+    p.add_argument("--m", type=_integer_flag, required=True)
+    p.add_argument("--seed", type=_integer_flag)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_gnm)
 
     p = sub.add_parser("decompose", help="build a hierarchical decomposition")
     p.add_argument("--method", choices=_BUILDERS, required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_integer_flag)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_decompose)
 
@@ -444,8 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--cascade", required=True, help="e.g. icm:p=0.01 or dicm:p=0.01,q=0.1")
     p.add_argument("--seeds", required=True, help="seed set file")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--reps", type=_integer_flag)
+    p.add_argument("--seed", type=_integer_flag)
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=_cmd_sigma)
 
@@ -454,17 +463,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--tree", help="decomposition file (dpim and mpa)")
     p.add_argument("--cascade", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=_integer_flag, required=True)
+    p.add_argument("--reps", type=_integer_flag)
+    p.add_argument("--seed", type=_integer_flag)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--max-outer", type=int, default=20)
+    p.add_argument("--max-outer", type=_integer_flag, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_maximize)
 
     p = sub.add_parser("bench", help="run a benchmark config to CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_integer_flag, default=1)
     p.set_defaults(func=_cmd_bench)
 
     return parser

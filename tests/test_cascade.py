@@ -692,6 +692,92 @@ def test_sigma_exact_pinned():
 _EXACT_PIN = "0cc435ec3bbc6d526756a37c8c32df503a71045464350891901b01abf6c188cb"
 
 
+def _random_tree(n, seed, chords=0):
+    """Each vertex v > 0 joins a random earlier vertex; then `chords` more
+    random edges join pairs not yet adjacent."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while chords:
+        u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        if (u, v) not in edges:
+            edges.add((u, v))
+            chords -= 1
+    return Graph(n, sorted(edges))
+
+
+def _double_star(leaves):
+    """Adjacent hubs 0 and 1, each with `leaves` degree-1 neighbors."""
+    ids = range(2, 2 + 2 * leaves)
+    return Graph(2 + 2 * leaves, [(0, 1), *((i % 2, i) for i in ids)])
+
+
+# Degree-1 vertices in every layout: star centers first and in the middle of
+# the ids, random trees with and without chords, hubs that are adjacent, and
+# one graph holding a K2 component (each end is the other's only neighbor),
+# an isolated vertex and two adjacent hubs with two pendants each.  The
+# models put f(1, 1) at 1 (ltm, scm, icm p = 1, twostep eps = 1), at 0
+# (icm p = 0, twostep eps = 0) and strictly between.
+_PENDANT_GRAPHS = [
+    Graph(7, [(0, i) for i in range(1, 7)]),
+    Graph(8, [(4, i) for i in range(8) if i != 4]),
+    _double_star(4),
+    Graph(9, [(0, 1), (3, 4), (3, 5), (3, 6), (6, 7), (6, 8)]),
+    *(_random_tree(12, seed) for seed in (1, 2, 3)),
+    _random_tree(12, 4, chords=2),
+]
+_PENDANT_MODELS = [
+    *ALL_MODELS,
+    CascadeModel.icm(1.0),
+    CascadeModel.icm(0.0),
+    CascadeModel.twostep(0.0),
+    CascadeModel.twostep(1.0),
+]
+
+
+def _pendant_dump():
+    lines = []
+    for g in _PENDANT_GRAPHS:
+        for model in _PENDANT_MODELS:
+            oracle = ExactOracle(g, model)
+            for seeds in ([], [0], [1], [g.n - 1], [g.n // 2], [1, g.n - 1], [0, 2, 3], [0]):
+                lines.append(f"{oracle.value(seeds)!r} {oracle._states}")
+    return "\n".join(lines)
+
+
+def test_sigma_exact_pendants_pinned():
+    # Recorded while every degree-1 vertex still went through the per-vertex
+    # scan: settling them in one step per hub keeps each value's bytes and
+    # the explored-state counts.
+    digest = hashlib.sha256(_pendant_dump().encode()).hexdigest()
+    assert digest == _PENDANT_PIN
+
+
+_PENDANT_PIN = "abbe1939d666d4ea234d014c28fb95391ed84fce70b65ce0d1c7dfd61872b1c8"
+
+
+@pytest.mark.parametrize("model", _PENDANT_MODELS, ids=lambda m: m.spec)
+def test_exact_pendants_match_enumeration(model):
+    graphs = [*_PENDANT_GRAPHS[:2], _double_star(2), _PENDANT_GRAPHS[3], _random_tree(7, 5)]
+    for g in graphs:
+        for seeds in ([0], [1, 3], [g.n - 1]):
+            expected = _enumerated_sigma(g, model, seeds)
+            assert sigma_exact(g, model, seeds) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_exact_settled_pendants_hold_no_per_leaf_memory():
+    # Every leaf of both hubs is settled at once, so the five states' keys
+    # hold two masks each, not one survived-count pair per leaf.
+    oracle = ExactOracle(_double_star(10**4), CascadeModel.icm(0.5))
+    tracemalloc.start()
+    try:
+        assert oracle.value([2]) == 3751.5
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert oracle._states == 5
+    assert held < 0.25 * 2**20
+
+
 # ---------------------------------------------------------------- oracles
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import infmax
 from infmax import FormatError, Graph, load_edge_list, parse_bench_config, read_tree
-from infmax.cli import main
+from infmax.cli import _build_parser, main
 
 
 def run(*argv):
@@ -553,6 +553,31 @@ def test_bench_config_integers_are_ascii_digits(tmp_path, token):
     _write_config(cfg, graph=f"gnm:n={token},m=16,seed=3")
     with pytest.raises(FormatError, match="bad gnm source parameter value"):
         infmax.run_bench(parse_bench_config(cfg))
+
+
+# Every integer flag of every command, with a value it reads as written.
+_INTEGER_FLAGS = [
+    "gen-hier --d 3 --l 1 --t 2 --seed 1 --out-graph g --out-tree t",
+    "gen-worstcase --n 3 --out-graph g --out-tree t",
+    "gen-gnm --n 5 --m 4 --seed 1 --out g",
+    "decompose --method jaccard --graph g --seed 1 --out t",
+    "sigma --graph g --cascade ltm --seeds s --reps 5 --seed 1",
+    "maximize --algo greedy --graph g --cascade ltm --k 1 --reps 5 --seed 1 --max-outer 2 --out o",
+    "bench --config c --workers 1",
+]
+
+
+@pytest.mark.parametrize("token", _NOT_ASCII_INTEGERS)
+@pytest.mark.parametrize("line", _INTEGER_FLAGS, ids=lambda line: line.split()[0])
+def test_flag_integers_are_ascii_digits(capsys, line, token):
+    # int() would read 1_0 as 10 and the other tokens as 3, 12 and 2
+    argv = line.split()
+    args = vars(_build_parser().parse_args(argv))
+    for i in range(1, len(argv), 2):
+        if argv[i + 1].isdigit():
+            assert args[argv[i][2:].replace("-", "_")] == int(argv[i + 1])
+            assert run(*argv[: i + 1], token, *argv[i + 2 :]) == 2
+            assert f"argument {argv[i]}: value {token!r} is not an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- silence
