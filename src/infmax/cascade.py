@@ -63,7 +63,8 @@ class CascadeModel:
     """Local influence function f(c, d), tagged by model kind.
 
     kind is one of icm, ltm, dicm, scm, twostep.  Parameters not used by a
-    kind must be None.  f(c, d) is nondecreasing in c, f(0, d) = 0,
+    kind must be None; the others are real numbers in [0, 1], stored as
+    Python floats.  f(c, d) is nondecreasing in c, f(0, d) = 0,
     f(d, d) <= 1; f_table(d) holds it for every c, and is the only place
     the formulas live.
     """
@@ -82,14 +83,18 @@ class CascadeModel:
             if name in wanted:
                 if val is None:
                     raise ValueError(f"model {self.kind} requires parameter {name}")
+                # numpy's bool is no Real, but Python's is
+                if isinstance(val, bool) or not isinstance(val, numbers.Real):
+                    raise ValueError(f"parameter {name}={val!r} is not a real number")
                 if not 0.0 <= val <= 1.0:
                     raise ValueError(f"parameter {name}={val} outside [0, 1]")
+                object.__setattr__(self, name, float(val))
             elif val is not None:
                 raise ValueError(f"model {self.kind} does not take parameter {name}")
 
     @classmethod
     def icm(cls, p: float) -> "CascadeModel":
-        return cls("icm", p=float(p))
+        return cls("icm", p=p)
 
     @classmethod
     def ltm(cls) -> "CascadeModel":
@@ -97,7 +102,7 @@ class CascadeModel:
 
     @classmethod
     def dicm(cls, p: float, q: float) -> "CascadeModel":
-        return cls("dicm", p=float(p), q=float(q))
+        return cls("dicm", p=p, q=q)
 
     @classmethod
     def scm(cls) -> "CascadeModel":
@@ -105,7 +110,7 @@ class CascadeModel:
 
     @classmethod
     def twostep(cls, eps: float) -> "CascadeModel":
-        return cls("twostep", eps=float(eps))
+        return cls("twostep", eps=eps)
 
     @property
     def spec(self) -> str:
@@ -185,11 +190,7 @@ class OracleConfig:
 
     def __post_init__(self):
         for name in ("reps", "master_seed"):
-            val = getattr(self, name)
-            # numpy integers are Integral (stored as int); bool is too, but is no count.
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
-            object.__setattr__(self, name, int(val))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.mode not in (CRN, INDEPENDENT):
@@ -573,8 +574,7 @@ class MonteCarloOracle:
                 for pair in pairs:
                     totals += known[pair]
             else:
-                digest = seeds_digest(index.members[ci][c] for ci, cols in pairs for c in cols)
-                rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, digest)
+                rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, seeds_digest(key))
                 theta = _draw_thresholds(rng, (reps, self.graph.n))
                 for ci, cols in pairs:
                     totals += run(ci, self._classes(ci, theta), [cols])[0]

@@ -94,7 +94,7 @@ class HierarchyTree:
             raise FormatError("leaf vertices must be a permutation of 0..n-1")
 
         # Reachability from the root rules out cycles among non-root nodes.
-        order = [int(roots[0])]
+        order = roots.tolist()
         for node in order:
             if left[node] >= 0:
                 order.append(left[node])
@@ -116,15 +116,18 @@ class HierarchyTree:
                 lo[a] = lo[node]
                 lo[b] = lo[node] + sizes[a]
 
-        self._n = n
-        self._parents = parents
-        self._leaf_vertex = leaf_vertex
-        self._root = int(roots[0])
-        self._left, self._right, self._sizes, self._heights, self._lo = per_node = [
-            np.array(x, dtype=np.int64) for x in (left, right, sizes, heights, lo)
-        ]
-        for arr in (parents, leaf_vertex, *per_node):
+        levels: list[list[int]] = [[] for _ in range(heights[order[0]] + 1)]
+        for node, h in enumerate(heights):
+            levels[h].append(node)
+        for arr in (parents, leaf_vertex):
             arr.setflags(write=False)
+        self._n, self._root = n, order[0]
+        self._parents, self._leaf_vertex = parents, leaf_vertex
+        # The walks read these per node, so they are tuples of Python ints.
+        self._parent_of, self._vertex_of, self._left, self._right, self._sizes, self._lo = (
+            tuple(x) for x in (parents.tolist(), leaf_vertex.tolist(), left, right, sizes, lo)
+        )
+        self._levels = tuple(map(tuple, levels))
 
     @property
     def n_leaves(self) -> int:
@@ -132,37 +135,38 @@ class HierarchyTree:
 
     @property
     def node_count(self) -> int:
-        return int(self._parents.shape[0])
+        return len(self._left)
 
     @property
     def root(self) -> int:
         return self._root
 
     def parent(self, node: int) -> int:
-        return int(self._parents[node])
+        return self._parent_of[node]
 
     def left(self, node: int) -> int:
-        return int(self._left[node])
+        return self._left[node]
 
     def right(self, node: int) -> int:
-        return int(self._right[node])
+        return self._right[node]
 
     def is_leaf(self, node: int) -> bool:
         return self._left[node] < 0
 
     def leaf_vertex(self, node: int) -> int:
-        return int(self._leaf_vertex[node])
+        return self._vertex_of[node]
 
     def size(self, node: int) -> int:
         """Leaf count of the subtree rooted at node."""
-        return int(self._sizes[node])
+        return self._sizes[node]
 
     @property
     def tree_height(self) -> int:
-        return int(self._heights[self._root])
+        return len(self._levels) - 1
 
-    def nodes_at_height(self, h: int) -> np.ndarray:
-        return np.flatnonzero(self._heights == h)
+    def nodes_at_height(self, h: int) -> tuple[int, ...]:
+        """The nodes of height h in ascending id order; none outside 0..tree_height."""
+        return self._levels[h] if 0 <= _integer(h, "height") < len(self._levels) else ()
 
     def __eq__(self, other):
         if not isinstance(other, HierarchyTree):
@@ -574,7 +578,7 @@ def dasgupta_cost(graph, tree: HierarchyTree) -> int:
     edges = graph.edge_array
     if edges.shape[0] == 0:
         return 0
-    lo, sizes, left = tree._lo, tree._sizes, tree._left
+    lo, sizes, left = (np.array(x, dtype=np.int64) for x in (tree._lo, tree._sizes, tree._left))
     leaves, inner = np.flatnonzero(left < 0), np.flatnonzero(left >= 0)
     pos = np.empty(graph.n, dtype=np.int64)
     pos[tree._leaf_vertex[leaves]] = lo[leaves]

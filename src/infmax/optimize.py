@@ -167,7 +167,6 @@ def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> lis
     rows: dict[int, list[frozenset[int]]] = {}
     for h in range(tree.tree_height + 1):
         for node in tree.nodes_at_height(h):
-            node = int(node)
             if tree.is_leaf(node):
                 rows[node] = [frozenset(), frozenset((tree.leaf_vertex(node),))][: k + 1]
             else:
@@ -344,11 +343,11 @@ def mpa(graph, tree: HierarchyTree, model, k: int, cfg, max_outer: int = 20) -> 
         for _ in range(max_outer):
             for h in range(tree.tree_height - 1, 0, -1):
                 for node in tree.nodes_at_height(h):
-                    _update(oracle, tree, k, table, int(node), LU)
-                    _update(oracle, tree, k, table, int(node), RU)
+                    _update(oracle, tree, k, table, node, LU)
+                    _update(oracle, tree, k, table, node, RU)
             for h in range(1, tree.tree_height + 1):
                 for node in tree.nodes_at_height(h):
-                    _update(oracle, tree, k, table, int(node), LR)
+                    _update(oracle, tree, k, table, node, LR)
             candidate = retrieve_seeds(tree, table, tree.root, LR, k)
             value = oracle.sigma(candidate).mean
             if value <= history[-1]:

@@ -141,6 +141,25 @@ def test_parse_model_round_trip():
         m = parse_model(spec)
         assert m.spec == spec
         assert parse_model(m.spec) == m
+    # numpy numbers are stored as Python floats, so spec still parses
+    for m, spec in [
+        (CascadeModel("icm", p=np.float32(0.1)), "icm:p=0.10000000149011612"),
+        (CascadeModel.dicm(np.float64(0.25), np.int64(1)), "dicm:p=0.25,q=1.0"),
+        (CascadeModel("twostep", eps=np.uint8(0)), "twostep:eps=0.0"),
+        (CascadeModel.icm(1), "icm:p=1.0"),
+    ]:
+        assert m.spec == spec and parse_model(spec) == m
+        assert {type(v) for v in (m.p, m.q, m.eps) if v is not None} == {float}
+
+
+def test_model_parameters_must_be_numbers():
+    for bad in (True, False, np.True_, "0.5", None, [0.5], 1j):
+        with pytest.raises(ValueError):
+            CascadeModel("icm", p=bad)
+        with pytest.raises(ValueError):
+            CascadeModel.dicm(0.5, bad)
+    with pytest.raises(ValueError, match="not a real number"):
+        CascadeModel.twostep(np.bool_(False))
 
 
 def test_parse_model_rejects():
@@ -1107,7 +1126,7 @@ def test_class_table_cache_clears_without_changing_results():
 
 def test_config_rejects_non_integers():
     for reps, master_seed in ((2.5, 1), (True, 1), ("10", 1), (10, 1.5), (10, False), (10, "1"), (10.0, 1)):
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(ValueError, match="not an integer"):
             OracleConfig(reps, master_seed)
     # numpy integers are accepted and stored as int, so the seed mixing works
     cfg = OracleConfig(np.int64(10), np.uint32(7))

@@ -111,12 +111,45 @@ def test_lca_and_sizes():
     assert dasgupta_cost(Graph(6, edges), tree) == 14
 
 
+def _balanced(lo, hi):
+    """The nested spec of a balanced tree over vertices lo..hi - 1."""
+    if hi - lo == 1:
+        return lo
+    mid = (lo + hi) // 2
+    return (_balanced(lo, mid), _balanced(mid, hi))
+
+
 def test_heights():
     tree = tree_from_nested((((0, 1), 2), 3))
     assert tree.tree_height == 3
-    assert [int(x) for x in tree.nodes_at_height(0)] == sorted(
-        n for n in range(7) if tree.is_leaf(n)
-    )
+    assert list(tree.nodes_at_height(0)) == sorted(n for n in range(7) if tree.is_leaf(n))
+    trees = [
+        tree_from_nested(_caterpillar(40)),
+        tree_from_nested(_balanced(0, 37)),
+        build_bisection(gen_gnm(60, 150, 3), 3),
+    ]
+    for tree in trees:
+        groups = [tree.nodes_at_height(h) for h in range(tree.tree_height + 1)]
+        height = {node: h for h, group in enumerate(groups) for node in group}
+        assert sorted(height) == list(range(tree.node_count))
+        assert sum(map(len, groups)) == tree.node_count  # no node in two groups
+        for h, group in enumerate(groups):
+            assert len(group) > 0 and list(group) == sorted(group)
+        for node, h in height.items():
+            assert type(node) is int and type(tree.is_leaf(node)) is bool
+            if tree.is_leaf(node):
+                assert h == 0 and type(tree.leaf_vertex(node)) is int
+            else:
+                l, r = tree.left(node), tree.right(node)
+                assert h == 1 + max(height[l], height[r])
+                assert {type(l), type(r), type(tree.parent(l)), type(tree.size(node))} == {int}
+        for h in (-1, tree.tree_height + 1, 10**6):
+            assert len(tree.nodes_at_height(h)) == 0
+        assert tree.nodes_at_height(np.int64(1)) == groups[1]
+        for h in (1.0, True, "1"):
+            with pytest.raises(ValueError, match="not an integer"):
+                tree.nodes_at_height(h)
+        assert type(tree.tree_height) is type(tree.root) is type(tree.node_count) is int
 
 
 def test_canonical_child_order():

@@ -570,6 +570,7 @@ _COUNTS = {
     )._data),
     "AllocationTable.k": (2, lambda v: AllocationTable(_SMALL_TREE, v).k),
     "ExactOracle.budget": (50, lambda v: ExactOracle(_SMALL, _ICM, budget=v).budget),
+    "OracleConfig.reps": (2, lambda v: OracleConfig(v, 1)),
 }
 
 
