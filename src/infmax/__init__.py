@@ -33,23 +33,12 @@ from .decomposition import (
 )
 from .errors import CapacityError, ConsistencyError, FormatError
 from .graph import Graph, gen_gnm, load_edge_list
-from .optimize import (
-    AllocationTable,
-    SeedSet,
-    brute_force,
-    dpim,
-    greedy,
-    mpa,
-    mpa_init_table,
-    mpa_update,
-    retrieve_seeds,
-)
+from .optimize import SeedSet, brute_force, dpim, greedy, mpa
 from .synthgen import WorstCaseInstance, gen_hierarchical, gen_worstcase
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationTable",
     "BenchConfig",
     "CRN",
     "CapacityError",
@@ -79,12 +68,9 @@ __all__ = [
     "load_edge_list",
     "main",
     "mpa",
-    "mpa_init_table",
-    "mpa_update",
     "parse_bench_config",
     "parse_model",
     "read_tree",
-    "retrieve_seeds",
     "run_bench",
     "sigma_exact",
     "sigma_mc",

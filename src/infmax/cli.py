@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage error (bad flags, bad model spec, missing
 --seed), 3 inconsistent or malformed inputs (parse errors, mismatched
-graph/tree, missing files), 4 capacity guard tripped.  Every output file is
-written atomically; stochastic subcommands require an explicit --seed.
+graph/tree, missing, unreadable or undecodable files), 4 capacity guard
+tripped.  Every output file is written atomically; stochastic subcommands
+require an explicit --seed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import CapacityError, ConsistencyError, FormatError
 from .graph import Graph, _parse_int, _write_atomic, gen_gnm, load_edge_list
 from .optimize import brute_force, dpim, greedy, mpa
 from .synthgen import gen_hierarchical, gen_worstcase
-from ._rng import DOMAIN_BENCH_ROW, DOMAIN_BENCH_TREE, mix64
+from ._rng import DOMAIN_BENCH_ROW, DOMAIN_BENCH_TREE, _integer, mix64
 
 _ALGORITHMS = ("greedy", "dpim", "mpa", "brute-force")
 _ALGO_CODE = {name: code for code, name in enumerate(_ALGORITHMS, start=1)}
@@ -346,6 +347,8 @@ def run_bench(config: BenchConfig, workers: int = 1) -> None:
     derived from (master_seed, algorithm, cascade, k, trial) alone and rows
     are emitted in task order.
     """
+    if _integer(workers, "workers") < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     graph, truth = _build_graph_source(config.graph_source)
     for k in config.ks:
         if k > graph.n:
@@ -490,7 +493,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ConsistencyError, FileNotFoundError) as exc:
+    except (FormatError, ConsistencyError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CapacityError, MemoryError) as exc:

@@ -612,14 +612,14 @@ def read_tree(path) -> HierarchyTree:
         if n < 1:
             raise FormatError(f"{path}:1: leaf count must be positive")
         count = 2 * n - 1
-        # The node lines (and the one after them) are read before anything
-        # is allocated for them, so a header alone cannot ask for memory.
-        rows = [line for _, line in zip(range(count + 1), fh)]
+        # The node lines are read before anything is allocated for them, so
+        # a header alone cannot ask for memory.
+        rows = [line for _, line in zip(range(count), fh)]
         if len(rows) < count:
             raise FormatError(f"{path}: header promises {count} node lines, file holds {len(rows)}")
         parents = np.full(count, -2, dtype=np.int64)
         leaf_vertex = np.full(count, -1, dtype=np.int64)
-        for lineno, line in enumerate(rows[:count], start=2):
+        for lineno, line in enumerate(rows, start=2):
             tokens = line.split()
             if len(tokens) != 3:
                 raise FormatError(f"{path}:{lineno}: expected three tokens")
@@ -631,6 +631,8 @@ def read_tree(path) -> HierarchyTree:
                 raise FormatError(f"{path}:{lineno}: duplicate node id {node}")
             parents[node] = par
             leaf_vertex[node] = lv
-        if any(line.strip() for line in rows[count:]):
+        # Past the node lines only blank lines may follow; they are read one
+        # at a time, so a long tail allocates nothing.
+        if any(line.strip() for line in fh):
             raise FormatError(f"{path}: trailing content after {count} node lines")
     return HierarchyTree(parents, leaf_vertex)

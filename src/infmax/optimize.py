@@ -14,7 +14,10 @@ so ties fall to the smallest id, share or subset.
 There is one allocation step, _allocate: each budget's best split between
 two directions with the third direction's seeds held fixed.  The dynamic
 program runs it bottom-up with an empty third direction, and each message
-passing update runs it on the sets the current table retrieves.
+passing update runs it on the sets the current advice retrieves.  The
+advice is a plain dict, (node, direction pair, budget) -> (into first, into
+second), owned by one search; absent entries read (0, 0).  At a node, L and
+R are its children's subtrees and U is the rest of the tree.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from ._rng import _integer
 LR = ("L", "R")
 LU = ("L", "U")
 RU = ("R", "U")
-DIRECTION_PAIRS = (LR, LU, RU)
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ def greedy(graph, model, k: int, cfg) -> SeedSet:
     return _search(graph, model, k, cfg, search)
 
 
-def _allocate(oracle, table: AllocationTable, node: int, dpair, k: int, first, second, rest) -> list[frozenset[int]]:
-    """For each budget i, write (j, ii - j) into row (node, dpair) for the
+def _allocate(oracle, advice: dict, node: int, dpair, k: int, first, second, rest) -> list[frozenset[int]]:
+    """For each budget i, write (j, ii - j) into advice[node, dpair, i] for the
     first share j whose set first[j] | second[ii - j] | rest[min(k - i, cap3)]
     has the largest sigma, where ii = min(i, cap1 + cap2) and each list
     holds one set per budget 0..cap.  A forced split makes no query; the
@@ -149,20 +151,20 @@ def _allocate(oracle, table: AllocationTable, node: int, dpair, k: int, first, s
             means = [next(answers).mean for _ in sets]
             pick = means.index(max(means))
         j = shares[pick]
-        table.set(node, dpair, i, j, ii - j)
+        advice[node, dpair, i] = (j, ii - j)
         if i == ii:
             chosen.append(sets[pick])
     return chosen
 
 
-def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> list[frozenset[int]]:
+def _dp_fill(oracle, tree: HierarchyTree, k: int, advice: dict) -> list[frozenset[int]]:
     """The bottom-up dynamic program; returns the root's row.
 
     Row [i] of node v is the chosen i-subset of T(v); rows run up to
     min(|T(v)|, k), and a child's row is dropped once its parent has read
-    it.  Every split chosen at an internal node is written into table as
-    its (L, R) advice; budgets past the subtree size get the clamped split
-    (size(L), size(R)).
+    it.  Every split chosen at an internal node is written as its (L, R)
+    advice; budgets past the subtree size get the clamped split (size(L),
+    size(R)).
     """
     rows: dict[int, list[frozenset[int]]] = {}
     for h in range(tree.tree_height + 1):
@@ -171,7 +173,7 @@ def _dp_fill(oracle, tree: HierarchyTree, k: int, table: AllocationTable) -> lis
                 rows[node] = [frozenset(), frozenset((tree.leaf_vertex(node),))][: k + 1]
             else:
                 left, right = rows.pop(tree.left(node)), rows.pop(tree.right(node))
-                rows[node] = _allocate(oracle, table, node, LR, k, left, right, [frozenset()])
+                rows[node] = _allocate(oracle, advice, node, LR, k, left, right, [frozenset()])
     return rows[tree.root]
 
 
@@ -183,49 +185,9 @@ def dpim(graph, tree: HierarchyTree, model, k: int, cfg) -> SeedSet:
     """
 
     def search(oracle, k):
-        return _dp_fill(oracle, tree, k, AllocationTable(tree, k))[k], None
+        return _dp_fill(oracle, tree, k, {})[k], None
 
     return _search(graph, model, k, cfg, search, tree)
-
-
-class AllocationTable:
-    """Split advice A(node, direction pair, budget) -> (into first, into second).
-
-    Directions at a node: L and R are its children's subtrees, U is
-    everything outside its own subtree.  Only entries that were set are
-    stored; every other entry reads (0, 0).  The root's U share is pinned
-    to zero.
-    """
-
-    def __init__(self, tree: HierarchyTree, k: int):
-        self.k = _integer(k, "k")
-        self._tree = tree
-        self._data: dict[tuple[int, tuple, int], tuple[int, int]] = {}
-
-    def _key(self, node: int, dpair, ell: int) -> tuple[int, tuple, int]:
-        """The checked key: node and budget through _integer, inside the
-        tree and 0..k, and a known direction pair."""
-        dpair = tuple(dpair)
-        if dpair not in DIRECTION_PAIRS:
-            raise ValueError(f"bad direction pair {dpair!r}")
-        node, ell = _integer(node, "node"), _integer(ell, "budget")
-        if not 0 <= node < self._tree.node_count:
-            raise ValueError(f"node {node} is outside the tree")
-        if not 0 <= ell <= self.k:
-            raise ValueError(f"budget {ell} is outside 0..{self.k}")
-        return (node, dpair, ell)
-
-    def get(self, node: int, dpair, ell: int) -> tuple[int, int]:
-        return self._data.get(self._key(node, dpair, ell), (0, 0))
-
-    def set(self, node: int, dpair, ell: int, s1: int, s2: int) -> None:
-        key = node, dpair, ell = self._key(node, dpair, ell)
-        s1, s2 = _integer(s1, "share"), _integer(s2, "share")
-        if s1 < 0 or s2 < 0 or s1 + s2 > ell:
-            raise ValueError(f"split ({s1}, {s2}) invalid for budget {ell}")
-        if node == self._tree.root and dpair != LR and s2 != 0:
-            raise ValueError("root has no U side; its U share must be 0")
-        self._data[key] = (s1, s2)
 
 
 def _follow(tree: HierarchyTree, node: int, direction: str):
@@ -240,20 +202,10 @@ def _follow(tree: HierarchyTree, node: int, direction: str):
     return child, LR, tree.size(child)
 
 
-def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair, ell: int) -> frozenset[int]:
-    """Follow the table's advice from (node, dpair, ell) to the leaves it reaches.
-
-    The walk keeps an explicit stack of (node, dpair, ell) steps, so its
-    depth is not bounded by Python's recursion limit.  The table must have
-    been built for tree, and the entry step is checked as the table checks
-    a key (a negative budget retrieves nothing); every later step comes from
-    the table's own entries, which are read directly.
-    """
-    if table._tree is not tree:
-        raise ConsistencyError("allocation table was built for another tree")
-    ell = _integer(ell, "budget")
-    node, dpair, _ = table._key(node, dpair, max(ell, 0))
-    advice = table._data
+def _retrieve_seeds(tree: HierarchyTree, advice: dict, node: int, dpair, ell: int) -> frozenset[int]:
+    """Follow the advice from (node, dpair, ell) to the leaves it reaches,
+    on an explicit stack of steps, so the walk's depth is not bounded by
+    Python's recursion limit."""
     found: list[int] = []
     stack = [(node, dpair, ell)]
     while stack:
@@ -278,8 +230,8 @@ def retrieve_seeds(tree: HierarchyTree, table: AllocationTable, node: int, dpair
     return frozenset(found)
 
 
-def _update(oracle, tree: HierarchyTree, k: int, table: AllocationTable, node: int, dpair) -> None:
-    """Rewrite row (node, dpair) from the sets the table retrieves in the
+def _update(oracle, tree: HierarchyTree, k: int, advice: dict, node: int, dpair) -> None:
+    """Rewrite row (node, dpair) from the sets the advice retrieves in the
     three directions.  No walk from node's neighbors reads node's own rows,
     so each direction's sets are retrieved once, before the row changes."""
     (d3,) = {"L", "R", "U"} - set(dpair)
@@ -287,39 +239,9 @@ def _update(oracle, tree: HierarchyTree, k: int, table: AllocationTable, node: i
     for direction in (*dpair, d3):
         neighbor, pair, leaves = _follow(tree, node, direction)
         sets.append([frozenset()] + [
-            retrieve_seeds(tree, table, neighbor, pair, b) for b in range(1, min(leaves, k) + 1)
+            _retrieve_seeds(tree, advice, neighbor, pair, b) for b in range(1, min(leaves, k) + 1)
         ])
-    _allocate(oracle, table, node, dpair, k, *sets)
-
-
-def mpa_update(graph, tree: HierarchyTree, model, k: int, cfg, table: AllocationTable, node: int, dpair) -> AllocationTable:
-    """One local table refresh at an internal node; returns the table.
-
-    For each budget i the remaining k-i seeds are first pinned in the third
-    direction per the current table, then σ picks the best split of i
-    between the pair's directions (capacity-clamped, smallest first share
-    on ties).
-    """
-    k = _check(graph, k, tree)
-    if table.k != k or table._tree is not tree:
-        raise ConsistencyError("allocation table was built for another tree or another k")
-    node, dpair, _ = table._key(node, dpair, 0)
-    if tree.is_leaf(node):
-        raise ValueError("updates apply to internal nodes only")
-    _update(_make_oracle(graph, model, cfg), tree, k, table, node, dpair)
-    return table
-
-
-def mpa_init_table(graph, tree: HierarchyTree, model, k: int, cfg) -> AllocationTable:
-    """Allocation table after the bottom-up initialization sweep.
-
-    The sweep is the dynamic program of dpim, so retrieving the root's
-    (L, R) row from this table reproduces its choice for every budget.
-    """
-    k = _check(graph, k, tree)
-    table = AllocationTable(tree, k)
-    _dp_fill(_make_oracle(graph, model, cfg), tree, k, table)
-    return table
+    _allocate(oracle, advice, node, dpair, k, *sets)
 
 
 def mpa(graph, tree: HierarchyTree, model, k: int, cfg, max_outer: int = 20) -> SeedSet:
@@ -336,19 +258,19 @@ def mpa(graph, tree: HierarchyTree, model, k: int, cfg, max_outer: int = 20) -> 
         raise ValueError("max_outer must be nonnegative")
 
     def search(oracle, k):
-        table = AllocationTable(tree, k)
-        _dp_fill(oracle, tree, k, table)
-        seeds = retrieve_seeds(tree, table, tree.root, LR, k)
+        advice: dict = {}
+        _dp_fill(oracle, tree, k, advice)
+        seeds = _retrieve_seeds(tree, advice, tree.root, LR, k)
         history = [oracle.sigma(seeds).mean]
         for _ in range(max_outer):
             for h in range(tree.tree_height - 1, 0, -1):
                 for node in tree.nodes_at_height(h):
-                    _update(oracle, tree, k, table, node, LU)
-                    _update(oracle, tree, k, table, node, RU)
+                    _update(oracle, tree, k, advice, node, LU)
+                    _update(oracle, tree, k, advice, node, RU)
             for h in range(1, tree.tree_height + 1):
                 for node in tree.nodes_at_height(h):
-                    _update(oracle, tree, k, table, node, LR)
-            candidate = retrieve_seeds(tree, table, tree.root, LR, k)
+                    _update(oracle, tree, k, advice, node, LR)
+            candidate = _retrieve_seeds(tree, advice, tree.root, LR, k)
             value = oracle.sigma(candidate).mean
             if value <= history[-1]:
                 break

@@ -94,6 +94,13 @@ def test_missing_graph_is_exit_3(tmp_path, capsys):
     rc = run("decompose", "--method", "jaccard", "--graph", tmp_path / "nope.txt",
              "--out", tmp_path / "t.tree")
     assert rc == 3
+    # a directory, and a file that is not UTF-8 text, fail as inputs too
+    undecodable = tmp_path / "ff.txt"
+    undecodable.write_bytes(b"0 1\n\xff\n")
+    for graph in (tmp_path, undecodable):
+        assert run("decompose", "--method", "jaccard", "--graph", graph, "--out", tmp_path / "t.tree") == 3
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "t.tree").exists()
 
 
 def test_malformed_tree_is_exit_3(triangle, tmp_path):
@@ -291,6 +298,13 @@ def test_bench_workers_agree(tmp_path):
     one = out.read_bytes()
     assert run("bench", "--config", cfg, "--workers", 3) == 0
     assert out.read_bytes() == one
+    # fewer than one worker is a usage error, not a serial run
+    out.unlink()
+    for workers in (0, -3):
+        assert run("bench", "--config", cfg, "--workers", workers) == 2
+        with pytest.raises(ValueError, match="workers"):
+            infmax.run_bench(parse_bench_config(cfg), workers=workers)
+    assert not out.exists()
 
 
 def test_bench_k0_row(tmp_path):

@@ -530,9 +530,14 @@ def test_read_rejects_trailing_content(tmp_path):
     t = build_random_pair(g, 1)
     p = tmp_path / "t.tree"
     write_tree(t, p)
-    p.write_text(p.read_text() + "3 0 -1\n")
-    with pytest.raises(FormatError):
-        read_tree(p)
+    text = p.read_text()
+    for tail in ("3 0 -1\n", "\ngarbage here\n", "\n  \n\n3 0 -1"):
+        p.write_text(text + tail)
+        with pytest.raises(FormatError, match="trailing content"):
+            read_tree(p)
+    # blank lines alone may follow the node lines
+    p.write_text(text + "\n \n\t\n")
+    assert read_tree(p) == t
 
 
 def test_read_rejects_duplicate_node(tmp_path):

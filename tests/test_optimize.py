@@ -1,13 +1,11 @@
 import hashlib
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from infmax import (
-    AllocationTable,
     CapacityError,
     CascadeModel,
     ConsistencyError,
@@ -27,11 +25,9 @@ from infmax import (
     gen_worstcase,
     greedy,
     mpa,
-    mpa_init_table,
-    mpa_update,
-    retrieve_seeds,
     tree_from_nested,
 )
+from infmax.optimize import LR, LU, RU, _dp_fill, _make_oracle, _retrieve_seeds, _update
 from tree_helpers import leaf_set
 
 
@@ -104,14 +100,21 @@ def test_oracle_for_another_model_rejected():
 # ---------------------------------------------------------------- dpim
 
 
+def _init_advice(graph, tree, model, k, cfg):
+    """The split advice after MPA's initialization, the dynamic program of dpim."""
+    advice = {}
+    _dp_fill(_make_oracle(graph, model, cfg), tree, k, advice)
+    return advice
+
+
 def test_init_table_leaf_rows():
     g = Graph(2, [(0, 1)])
     tree = tree_from_nested((0, 1))
-    table = mpa_init_table(g, tree, CascadeModel.icm(0.5), 1, "exact")
+    advice = _init_advice(g, tree, CascadeModel.icm(0.5), 1, "exact")
     leaf0 = tree.left(tree.root)  # vertex 0
-    assert retrieve_seeds(tree, table, leaf0, ("L", "R"), 0) == frozenset()
-    assert retrieve_seeds(tree, table, leaf0, ("L", "R"), 1) == {0}
-    assert retrieve_seeds(tree, table, tree.root, ("L", "R"), 1) in ({0}, {1})
+    assert _retrieve_seeds(tree, advice, leaf0, LR, 0) == frozenset()
+    assert _retrieve_seeds(tree, advice, leaf0, LR, 1) == {0}
+    assert _retrieve_seeds(tree, advice, tree.root, LR, 1) in ({0}, {1})
 
 
 def test_init_table_rows_stay_in_subtree():
@@ -120,11 +123,11 @@ def test_init_table_rows_stay_in_subtree():
     g = gen_gnm(8, 14, seed=3)
     tree = build_bisection(g, 1)
     k = 3
-    table = mpa_init_table(g, tree, CascadeModel.icm(0.3), k, "exact")
+    advice = _init_advice(g, tree, CascadeModel.icm(0.3), k, "exact")
     for node in range(tree.node_count):
         leaves = leaf_set(tree, node)
         for i in range(k + 1):
-            chosen = retrieve_seeds(tree, table, node, ("L", "R"), i)
+            chosen = _retrieve_seeds(tree, advice, node, LR, i)
             assert len(chosen) == min(i, len(leaves))
             assert chosen <= leaves
 
@@ -168,40 +171,29 @@ def test_dpim_k0():
 # ---------------------------------------------------------------- retrieval
 
 
-def _table_for(tree, k):
-    return AllocationTable(tree, k)
-
-
 def test_retrieve_leaf_cases():
     tree = tree_from_nested((0, 1))
-    table = _table_for(tree, 2)
     leaf = tree.right(tree.root)  # vertex 1
-    assert retrieve_seeds(tree, table, leaf, ("L", "R"), 0) == frozenset()
-    assert retrieve_seeds(tree, table, leaf, ("L", "R"), 2) == {1}
+    assert _retrieve_seeds(tree, {}, leaf, LR, 0) == frozenset()
+    assert _retrieve_seeds(tree, {}, leaf, LR, 2) == {1}
     # outside-facing budget at a leaf has nowhere to go below it
-    assert retrieve_seeds(tree, table, leaf, ("L", "U"), 2) == frozenset()
+    assert _retrieve_seeds(tree, {}, leaf, LU, 2) == frozenset()
 
 
 def test_retrieve_follows_table_splits():
     tree = tree_from_nested(((0, 1), 2))
-    table = _table_for(tree, 2)
     root = tree.root
     internal = tree.left(root) if not tree.is_leaf(tree.left(root)) else tree.right(root)
-    if tree.left(root) == internal:
-        table.set(root, ("L", "R"), 2, 2, 0)
-    else:
-        table.set(root, ("L", "R"), 2, 0, 2)
-    table.set(internal, ("L", "R"), 2, 1, 1)
-    assert retrieve_seeds(tree, table, root, ("L", "R"), 2) == {0, 1}
+    advice = {(root, LR, 2): (2, 0) if tree.left(root) == internal else (0, 2), (internal, LR, 2): (1, 1)}
+    assert _retrieve_seeds(tree, advice, root, LR, 2) == {0, 1}
 
 
 def test_retrieve_root_up_budget_bypasses():
     # (D, U) at the root pushes the whole budget down: there is no "up"
     tree = tree_from_nested((0, 1))
-    table = _table_for(tree, 1)
     left = tree.left(tree.root)
-    got = retrieve_seeds(tree, table, tree.root, ("L", "U"), 1)
-    assert got == retrieve_seeds(tree, table, left, ("L", "R"), 1)
+    got = _retrieve_seeds(tree, {}, tree.root, LU, 1)
+    assert got == _retrieve_seeds(tree, {}, left, LR, 1) == {0}
 
 
 def _caterpillar(n):
@@ -219,111 +211,15 @@ def _caterpillar(n):
 def test_retrieve_deeper_than_recursion_limit():
     tree = _caterpillar(1500)
     assert tree.tree_height == 1499
-    table = _table_for(tree, 1)
-    for node in range(1500, tree.node_count):
-        # the leaf has the smaller id, so the spine is the right child
-        table.set(node, ("L", "R"), 1, 0, 1)
-    assert retrieve_seeds(tree, table, tree.root, ("L", "R"), 1) == {1}
+    # the leaf has the smaller id, so the spine is the right child
+    advice = {(node, LR, 1): (0, 1) for node in range(1500, tree.node_count)}
+    assert _retrieve_seeds(tree, advice, tree.root, LR, 1) == {1}
 
 
 def test_mpa_deeper_than_recursion_limit():
     path = Graph(1500, [(v, v + 1) for v in range(1499)])
     res = mpa(path, _caterpillar(1500), CascadeModel.icm(0.5), 1, OracleConfig(2, 1), max_outer=0)
     assert len(res.vertices) == 1
-
-
-def test_allocation_table_validates():
-    tree = tree_from_nested((0, 1))
-    table = _table_for(tree, 2)
-    with pytest.raises(ValueError):
-        table.set(tree.root, ("L", "R"), 1, 1, 1)  # sums past budget
-    with pytest.raises(ValueError):
-        table.set(tree.root, ("X", "R"), 1, 1, 0)
-    with pytest.raises(ValueError):
-        table.set(tree.root, ("L", "U"), 1, 0, 1)  # no up budget at root
-    for bad in ((10**9, ("L", "R"), 1), (-1, ("L", "R"), 1),  # node outside the tree
-                (tree.root, ("L", "R"), 3), (tree.root, ("L", "R"), -1),  # budget outside 0..k
-                (tree.root, ("U", "L"), 1)):  # unknown pair
-        with pytest.raises(ValueError):
-            table.get(*bad)
-        with pytest.raises(ValueError):
-            table.set(*bad, 0, 0)
-    with pytest.raises(ValueError):
-        table.set(10**9, ("L", "R"), 99, 0, 0)
-    # unset entries read (0, 0) and a built table holds none
-    assert table.get(tree.root, ("R", "U"), 2) == (0, 0)
-    assert not table._data
-    table.set(tree.root, ("L", "R"), 2, 1, 1)
-    assert table.get(tree.root, ("L", "R"), 2) == (1, 1)
-
-
-def test_walk_checks_its_entry_step_once():
-    # the entry step is checked as a table key; later steps read the table
-    # directly, so a deep walk makes one check
-    g = Graph(2, [(0, 1)])
-    tree = tree_from_nested((0, 1))
-    table = mpa_init_table(g, tree, CascadeModel.icm(0.5), 1, "exact")
-    for dpair, ell in ((("U", "L"), 1), (("L", "X"), 1), (("L", "R"), 2)):
-        with pytest.raises(ValueError, match="direction pair|budget"):
-            retrieve_seeds(tree, table, tree.root, dpair, ell)
-    assert retrieve_seeds(tree, table, tree.root, ["L", "R"], -1) == frozenset()
-    deep = _caterpillar(1500)
-    table = _table_for(deep, 1)
-    for node in range(1500, deep.node_count):
-        table.set(node, ("L", "R"), 1, 0, 1)
-    with mock.patch.object(AllocationTable, "_key", autospec=True, side_effect=AllocationTable._key) as key:
-        assert retrieve_seeds(deep, table, deep.root, ("L", "R"), 1) == {1}
-    assert key.call_count == 1
-
-
-def test_walks_reject_nodes_outside_the_tree():
-    # numpy indexing would read -1 and -2 as the last nodes
-    g = Graph(2, [(0, 1)])
-    tree = tree_from_nested((0, 1))
-    model = CascadeModel.icm(0.5)
-    table = mpa_init_table(g, tree, model, 1, "exact")
-    for node in (-1, -2, 3):
-        with pytest.raises(ValueError, match="outside the tree"):
-            retrieve_seeds(tree, table, node, ("L", "R"), 1)
-        with pytest.raises(ValueError, match="outside the tree"):
-            mpa_update(g, tree, model, 1, "exact", table, node, ("L", "R"))
-
-
-def test_table_keys_and_shares_must_be_integers():
-    # int() would have stored (1, 0), keyed budget 1.5 and read True as node 1
-    tree = tree_from_nested(((0, 1), (2, 3)))
-    table = _table_for(tree, 2)
-    root, LR = tree.root, ("L", "R")
-    for call in (
-        lambda: table.set(root, LR, 2, 1.5, 0.5),
-        lambda: table.set(root, LR, 1.5, 1, 0),
-        lambda: table.set(root, LR, 2, True, 1),
-        lambda: table.get(True, LR, 1),
-        lambda: table.get(root, LR, "1"),
-        lambda: retrieve_seeds(tree, table, 1.5, LR, 2),
-        lambda: retrieve_seeds(tree, table, root, LR, 1.5),
-    ):
-        with pytest.raises(ValueError, match="not an integer"):
-            call()
-    assert not table._data
-    # numpy integers are stored as ints
-    table.set(np.int64(root), LR, np.int64(2), np.int64(1), np.int64(1))
-    ((node, _, ell), split), = table._data.items()
-    assert (node, ell, split) == (root, 2, (1, 1))
-    assert {type(x) for x in (node, ell, *split)} == {int}
-
-
-def test_walk_refuses_a_table_built_for_another_tree():
-    # the same n, so every node id is in range: the walk would read the
-    # other tree's advice and find nothing
-    tree, other = tree_from_nested(((0, 1), (2, 3))), tree_from_nested(((0, 2), (1, 3)))
-    table = _table_for(tree, 2)
-    table.set(tree.root, ("L", "R"), 2, 1, 1)
-    for child in (tree.left(tree.root), tree.right(tree.root)):
-        table.set(child, ("L", "R"), 1, 1, 0)
-    with pytest.raises(ConsistencyError, match="another tree"):
-        retrieve_seeds(other, table, other.root, ("L", "R"), 2)
-    assert len(retrieve_seeds(tree, table, tree.root, ("L", "R"), 2)) == 2
 
 
 # ---------------------------------------------------------------- mpa
@@ -347,10 +243,10 @@ def test_mpa_update_root_row_is_stable():
     tree = build_bisection(g, 2)
     model = CascadeModel.icm(0.3)
     oracle = MonteCarloOracle(g, model, OracleConfig(80, 21))
-    table = mpa_init_table(g, tree, model, 2, oracle)
-    before = [table.get(tree.root, ("L", "R"), i) for i in range(3)]
-    mpa_update(g, tree, model, 2, oracle, table, tree.root, ("L", "R"))
-    after = [table.get(tree.root, ("L", "R"), i) for i in range(3)]
+    advice = _init_advice(g, tree, model, 2, oracle)
+    before = [advice[tree.root, LR, i] for i in range(3)]
+    _update(oracle, tree, 2, advice, tree.root, LR)
+    after = [advice[tree.root, LR, i] for i in range(3)]
     assert before == after
 
 
@@ -358,38 +254,21 @@ def test_mpa_update_zero_budget_row():
     g = gen_gnm(10, 18, seed=7)
     tree = build_bisection(g, 2)
     model = CascadeModel.icm(0.3)
-    table = _table_for(tree, 2)
-    node = int(tree.left(tree.root))
-    mpa_update(g, tree, model, 2, "exact", table, node, ("L", "U"))
-    assert table.get(node, ("L", "U"), 0) == (0, 0)
-
-
-def test_mpa_update_rejects_leaves():
-    g = Graph(2, [(0, 1)])
-    tree = tree_from_nested((0, 1))
-    table = _table_for(tree, 1)
-    with pytest.raises(ValueError):
-        mpa_update(g, tree, CascadeModel.ltm(), 1, "exact", table, tree.left(tree.root), ("L", "R"))
-
-
-def test_mpa_update_rejects_foreign_table():
-    g = gen_gnm(10, 18, seed=7)
-    tree = build_bisection(g, 2)
-    model = CascadeModel.icm(0.3)
-    node = int(tree.left(tree.root))
-    # a table for another k, and one for another (equal) tree
-    for table, k in ((_table_for(tree, 2), 3), (_table_for(build_bisection(g, 2), 2), 2)):
-        with pytest.raises(ConsistencyError):
-            mpa_update(g, tree, model, k, "exact", table, node, ("L", "U"))
+    advice = {}
+    node = tree.left(tree.root)
+    _update(_make_oracle(g, model, "exact"), tree, 2, advice, node, LU)
+    assert advice[node, LU, 0] == (0, 0)
 
 
 def test_mpa_update_worstcase_root_allocates_to_clique():
     # at the node above the clique the i=2 split puts both seeds inside it
     inst = gen_worstcase(5)
     tree = inst.truth_tree
-    table = mpa_init_table(inst.graph, tree, inst.model, 2, "exact")
-    mpa_update(inst.graph, tree, inst.model, 2, "exact", table, tree.root, ("L", "R"))
-    got = retrieve_seeds(tree, table, tree.root, ("L", "R"), 2)
+    oracle = _make_oracle(inst.graph, inst.model, "exact")
+    advice = {}
+    _dp_fill(oracle, tree, 2, advice)
+    _update(oracle, tree, 2, advice, tree.root, LR)
+    got = _retrieve_seeds(tree, advice, tree.root, LR, 2)
     assert got <= frozenset(range(5))
     assert len(got) == 2
 
@@ -399,9 +278,50 @@ def test_init_table_retrieval_matches_dpim():
     tree = build_bisection(g, 6)
     model = CascadeModel.dicm(0.25, 0.3)
     cfg = OracleConfig(90, 19)
-    table = mpa_init_table(g, tree, model, 3, cfg)
-    got = retrieve_seeds(tree, table, tree.root, ("L", "R"), 3)
+    advice = _init_advice(g, tree, model, 3, cfg)
+    got = _retrieve_seeds(tree, advice, tree.root, LR, 3)
     assert got == dpim(g, tree, model, 3, cfg).vertices
+
+
+def _sweep_instance(name):
+    """(graph, tree, model, k, cfg) for the advice-invariant test."""
+    if name in ("guide", "bisection"):
+        g, guide = gen_hierarchical(5, 15, 6, 3)
+        tree = guide if name == "guide" else build_bisection(g, 1)
+        return g, tree, CascadeModel.scm(), 4, OracleConfig(30, 4)
+    if name == "worstcase":
+        inst = gen_worstcase(4)
+        return inst.graph, inst.truth_tree, inst.model, 2, "exact"
+    path = Graph(6, [(v, v + 1) for v in range(5)])
+    return path, tree_from_nested((((((0, 1), 2), 3), 4), 5)), CascadeModel.icm(0.5), 2, "exact"
+
+
+@pytest.mark.parametrize("name", ["guide", "bisection", "worstcase", "caterpillar"])
+def test_advice_entries_are_valid_splits(name):
+    # After initialization and one full down and up sweep, every entry is a
+    # split of its budget at an internal node, and no root row faces up.
+    g, tree, model, k, cfg = _sweep_instance(name)
+    oracle = _make_oracle(g, model, cfg)
+    advice = {}
+    _dp_fill(oracle, tree, k, advice)
+    for h in range(tree.tree_height - 1, 0, -1):
+        for node in tree.nodes_at_height(h):
+            _update(oracle, tree, k, advice, node, LU)
+            _update(oracle, tree, k, advice, node, RU)
+    for h in range(1, tree.tree_height + 1):
+        for node in tree.nodes_at_height(h):
+            _update(oracle, tree, k, advice, node, LR)
+    assert {pair for _, pair, _ in advice} == {LR, LU, RU}
+    for (node, pair, ell), (s1, s2) in advice.items():
+        assert 0 <= node < tree.node_count and not tree.is_leaf(node)
+        assert pair in (LR, LU, RU) and 0 <= ell <= k
+        assert {type(x) for x in (node, ell, s1, s2)} == {int}
+        assert s1 >= 0 and s2 >= 0 and s1 + s2 <= ell
+        assert node != tree.root or pair == LR
+        if pair == LR:
+            got = _retrieve_seeds(tree, advice, node, LR, ell)
+            assert len(got) == min(ell, tree.size(node))
+            assert got <= leaf_set(tree, node)
 
 
 def test_mpa_history_strictly_increases():
@@ -487,7 +407,7 @@ def test_worstcase_separation_exact():
 
 def _optimizer_dump():
     """One line per optimizer run: seeds, sigma repr, oracle calls, history,
-    plus every entry of the initial MPA allocation table."""
+    plus every entry of the initial MPA split advice."""
     models = [
         CascadeModel.icm(0.3), CascadeModel.dicm(0.3, 0.5), CascadeModel.ltm(),
         CascadeModel.scm(), CascadeModel.twostep(0.2),
@@ -501,10 +421,10 @@ def _optimizer_dump():
             for tree in trees:
                 runs.append(dpim(g, tree, model, k, cfg))
                 runs += [mpa(g, tree, model, k, cfg, max_outer=m) for m in (0, 1, 3)]
-                table = mpa_init_table(g, tree, model, k, cfg)
+                advice = _init_advice(g, tree, model, k, cfg)
                 lines.append(repr([
-                    table.get(v, pair, i) for v in range(tree.node_count)
-                    for pair in (("L", "R"), ("L", "U"), ("R", "U")) for i in range(k + 1)
+                    advice.get((v, pair, i), (0, 0)) for v in range(tree.node_count)
+                    for pair in (LR, LU, RU) for i in range(k + 1)
                 ]))
             lines += [
                 f"{sorted(r.vertices)} {r.sigma!r} {r.oracle_calls} {r.history}" for r in runs
@@ -564,11 +484,6 @@ _COUNTS = {
     "mpa.k": (2, lambda v: mpa(_SMALL, _SMALL_TREE, _ICM, v, _CFG, max_outer=1)),
     "mpa.max_outer": (2, lambda v: mpa(_SMALL, _SMALL_TREE, _ICM, 2, _CFG, max_outer=v)),
     "brute_force.k": (2, lambda v: brute_force(_SMALL, _ICM, v, _CFG)),
-    "mpa_init_table.k": (2, lambda v: mpa_init_table(_SMALL, _SMALL_TREE, _ICM, v, _CFG)._data),
-    "mpa_update.k": (2, lambda v: mpa_update(
-        _SMALL, _SMALL_TREE, _ICM, v, _CFG, AllocationTable(_SMALL_TREE, 2), _SMALL_TREE.root, ("L", "R")
-    )._data),
-    "AllocationTable.k": (2, lambda v: AllocationTable(_SMALL_TREE, v).k),
     "ExactOracle.budget": (50, lambda v: ExactOracle(_SMALL, _ICM, budget=v).budget),
     "OracleConfig.reps": (2, lambda v: OracleConfig(v, 1)),
 }
