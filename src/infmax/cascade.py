@@ -26,11 +26,11 @@ boundary at a time.  Both oracles evaluate a seed set one connected component
 at a time, on the component index that each Graph builds once and caches
 (graph.py): each query's seeds are checked once, by graph._seed_key, its
 split() groups them, and its per-component CSR arrays feed the kernel and
-the exact oracle's neighbor masks.  The Monte Carlo oracle answers a seed
-set it has answered before with one lookup in a memo of whole sets.  Every
-other set, asked alone or in a batch, is split once, and the batch's
-uncached (component, columns) pairs run in one kernel call per component;
-each set gets the answer it would get alone.
+the exact oracle's neighbor masks, which the index keeps per model.  The
+Monte Carlo oracle answers a seed set it has answered before with one lookup
+in a memo of whole sets.  Every other set, asked alone or in a batch, is
+split once, and the batch's uncached (component, columns) pairs run in one
+kernel call per component; each set gets the answer it would get alone.
 """
 
 from __future__ import annotations
@@ -510,7 +510,7 @@ class MonteCarloOracle:
     # result.
     _MEMO_LIMIT = 200_000
 
-    # Bound on the bucket tables one component index keeps, one per model.
+    # Bound on the tables one component index keeps, one per model and oracle kind.
     _TABLE_LIMIT = 16
 
     def _classes(self, ci: int, theta: np.ndarray) -> np.ndarray:
@@ -603,24 +603,25 @@ class ExactOracle:
     branches on whether the smallest undecided vertex activates at its
     current count, activating branch first, on an explicit stack.
 
-    Only the core, the vertices of degree at least 2, goes through that
-    per-vertex scan.  A degree-1 vertex (a pendant) has an infected
-    neighbor only once its one neighbor, its hub, is infected, and then its
-    count is 1, its degree: it never branches, and whether it activates,
-    survives at count 1 or is credited f(1, 1) changes no other vertex's
-    count.  So the pendants of all infected hubs are settled together, in
-    one step per state, all in the same way, since f(1, 1) is one number.
+    Only the core, every vertex but the pendants, goes through that
+    per-vertex scan.  A pendant has degree 1 and its neighbor, its hub,
+    degree at least 2.  It has an infected neighbor only once its hub is
+    infected, and then its count is 1, its degree: it never branches, and
+    whether it activates, survives at count 1 or is credited f(1, 1)
+    changes no other vertex's count.  So the pendants of all infected hubs
+    are settled together, in one step per state, since f(1, 1) is one number.
 
     A state is keyed by its infected mask, the mask of pendants that
     survived at count 1, and the frozenset of core (vertex, survived count)
     pairs with a nonzero count; a vertex's survived count is the
     infected-neighbor count it is known not to have activated at, and every
     count written is at least 1, so the key is one to one with the full
-    vector of counts.  One memo per component maps each state key to its
-    value; a query's start state (its seeds' mask, no counts) is one more
-    key in it, so a repeated seed set is one memo hit per component.  The
-    explored-state budget guards against exponential blowups and raises
-    CapacityError when exceeded.
+    vector of counts.  Each oracle keeps one memo per component, mapping
+    each state key to its value; a query's start state (its seeds' mask, no
+    counts) is one more key in it, so a repeated seed set is one memo hit
+    per component.  The explored-state budget guards against exponential
+    blowups and raises CapacityError when exceeded.  The masks and f tables
+    are built once per (graph, model) and kept on the graph (_exact_structure).
 
     calls counts every sigma()/value() invocation, cache hits included.
     """
@@ -629,26 +630,18 @@ class ExactOracle:
         self.graph = graph
         self.model = model
         self.budget = _integer(budget, "budget")
+        if self.budget < 0:
+            raise ValueError("budget must be nonnegative")
         self.calls = 0
         self._states = 0
         self._index = index = graph._component_index()
-        # Per component: the core's (local column, neighbor bitmask, degree,
-        # f table) in column order (one shared table per distinct degree),
-        # each hub's (column, mask of its pendants), and the state memo.
-        # _p1 = f(1, 1) is every pendant's chance once its hub is infected.
-        by_degree = {d: model.f_table(d).tolist() for d in set(graph.degrees.tolist())}
-        self._p1 = model.f_table(1).tolist()[1]
-        self._comps: list[tuple] = []
-        for indptr, indices, degrees in zip(index.indptr, index.indices, index.degrees):
-            bounds, cols = indptr.tolist(), indices.tolist()
-            core, pend = [], {}
-            for v, d in enumerate(degrees.tolist()):
-                lo = bounds[v]
-                if d == 1:
-                    pend[cols[lo]] = pend.get(cols[lo], 0) | 1 << v
-                elif d:
-                    core.append((v, sum(1 << c for c in cols[lo : lo + d]), d, by_degree[d]))
-            self._comps.append((core, tuple(pend.items()), {}))
+        tables = index.class_tables
+        if (shared := tables.get(("exact", model))) is None:
+            if len(tables) >= MonteCarloOracle._TABLE_LIMIT:
+                tables.clear()
+            shared = tables["exact", model] = _exact_structure(graph, model)
+        self._p1, self._comps = shared
+        self._memos = [{} for _ in self._comps]
 
     def value(self, seeds) -> float:
         """Exact expected infected count."""
@@ -664,8 +657,8 @@ class ExactOracle:
         return [self.sigma(seeds) for seeds in sets]
 
     def _component_value(self, ci: int, seed_cols) -> float:
-        core, pend, memo = self._comps[ci]
-        p1 = self._p1
+        core, pend = self._comps[ci]
+        memo, p1 = self._memos[ci], self._p1
         # A depth-first walk.  todo holds state keys (I, P, survived counts)
         # still to value, and branch points (key, (gain, p)), each pushed
         # below its "no" key and then its "yes" key; once both are valued,
@@ -720,11 +713,9 @@ class ExactOracle:
                 for v, c, _ in credits:
                     surv[v] = c
                 # Then the unsettled pendants of every infected hub, all with
-                # p = f(1, 1): they activate, or survive at 1, or are
-                # credited p each and survive at 1.  None of this changes a
-                # core vertex's count, so the core needs no rescan; and a
-                # pendant is the hub only of its own hub (a K2 component),
-                # already infected, so one step settles them all.
+                # p = f(1, 1): they activate, or survive at 1, or are credited
+                # p each and survive at 1.  That changes no core count, and no
+                # hub is a pendant, so no rescan: one step settles them all.
                 leaves = 0
                 for h, mask in pend:
                     if I >> h & 1:
@@ -747,6 +738,29 @@ class ExactOracle:
                 val = memo[key] = float(I.bit_count()) + gain
             vals.append(val)
         return vals[0]
+
+
+def _exact_structure(graph, model: CascadeModel) -> tuple:
+    """(f(1, 1), comps): comps[ci] is component ci's core, as (column, neighbor
+    mask, degree, f table) in column order, and each hub's (column, pendants
+    mask).  Each mask is set in a bytearray: O(entries + nc / 8) on nc vertices."""
+    by_degree = {d: model.f_table(d).tolist() for d in set(graph.degrees.tolist())}
+    index, comps = graph._component_index(), []
+    for indptr, indices, degrees in zip(index.indptr, index.indices, index.degrees):
+        bounds, cols, degs = indptr.tolist(), indices.tolist(), degrees.tolist()
+        core, leaves = [], []
+        for v, d in enumerate(degs):
+            (leaves if d == 1 and degs[cols[bounds[v]]] > 1 else core).append(v)
+        size, masks = len(bounds) // 8 + 1, []
+        for group in itertools.chain((cols[bounds[v] : bounds[v + 1]] for v in core), [leaves]):
+            buf = bytearray(size)
+            for c in group:
+                buf[c >> 3] |= 1 << (c & 7)
+            masks.append(int.from_bytes(buf, "little"))
+        pendants = masks.pop()
+        pend = tuple((v, mask & pendants) for v, mask in zip(core, masks) if mask & pendants)
+        comps.append(([(v, mask, degs[v], by_degree[degs[v]]) for v, mask in zip(core, masks)], pend))
+    return model.f_table(1).tolist()[1], comps
 
 
 def sigma_exact(graph, model: CascadeModel, seeds, budget: int = 10_000_000) -> float:

@@ -31,7 +31,7 @@ from .decomposition import (
     write_tree,
 )
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graph import Graph, _parse_int, _write_atomic, gen_gnm, load_edge_list
+from .graph import Graph, _open_text, _parse_int, _write_atomic, gen_gnm, load_edge_list
 from .optimize import brute_force, dpim, greedy, mpa
 from .synthgen import gen_hierarchical, gen_worstcase
 from ._rng import DOMAIN_BENCH_ROW, DOMAIN_BENCH_TREE, _integer, mix64
@@ -51,7 +51,7 @@ _BUILDERS = {
 
 def _read_seed_file(path, n: int) -> list[int]:
     seeds = []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -198,7 +198,7 @@ def parse_bench_config(path) -> BenchConfig:
     A '#' at the start of a line or after whitespace starts a comment.
     """
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not stripped:
@@ -493,7 +493,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ConsistencyError, OSError, UnicodeDecodeError) as exc:
+    except (FormatError, ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CapacityError, MemoryError) as exc:

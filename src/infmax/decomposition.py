@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graph import _parse_int, _write_atomic
+from .graph import _open_text, _parse_int, _write_atomic
 from ._rng import (
     DOMAIN_TREE_BISECTION,
     DOMAIN_TREE_RANDOM_EDGE,
@@ -604,7 +604,7 @@ def write_tree(tree: HierarchyTree, path) -> None:
 
 def read_tree(path) -> HierarchyTree:
     """Parse a hier v1 file; structural problems raise FormatError."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "hier" or header[1] != "v1":
             raise FormatError(f"{path}:1: expected 'hier v1 <n>' header")

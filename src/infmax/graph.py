@@ -17,6 +17,7 @@ seed set) is built from the CSR on first use and cached on the graph.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import re
@@ -154,8 +155,8 @@ class _ComponentIndex:
     adjacency in local columns: the graph's CSR rows of members[ci],
     remapped through local.  members, indices and degrees are read-only
     views of arrays that all components share.  class_tables holds, per
-    cascade model, the count-class bucket table over the graph's distinct
-    degrees that the Monte Carlo oracle builds on first use (cascade.py).
+    model, the Monte Carlo oracle's count-class bucket table and, under
+    ("exact", model), the exact oracle's masks and f tables (cascade.py).
     """
 
     def __init__(self, csr):
@@ -217,6 +218,16 @@ def _write_atomic(path, lines) -> None:
     os.replace(tmp, path)
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """open(path); a decode error in the with block raises FormatError naming path."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
+
 def _parse_int(text: str, what: str = "value") -> int:
     """The integer that text spells in ASCII, [+-]?[0-9]+ between optional
     whitespace: every integer in a file is read through it.  Anything else,
@@ -240,7 +251,7 @@ def load_edge_list(path) -> Graph:
     """
     forced_n = None
     pairs = []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:

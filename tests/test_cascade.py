@@ -593,6 +593,12 @@ def test_exact_budget_guard():
     g = gen_gnm(24, 60, seed=3)
     with pytest.raises(CapacityError):
         sigma_exact(g, CascadeModel.icm(0.5), [0], budget=10)
+    # budget 0 explores no state; a negative budget is refused at once, as k is
+    with pytest.raises(CapacityError, match="exceeded 0 explored states"):
+        sigma_exact(g, CascadeModel.icm(0.5), [0], budget=0)
+    assert sigma_exact(g, CascadeModel.icm(0.5), [], budget=0) == 0.0
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        ExactOracle(g, CascadeModel.icm(0.5), budget=-1)
 
 
 def test_exact_long_path_has_no_depth_limit():
@@ -795,6 +801,57 @@ def test_exact_settled_pendants_hold_no_per_leaf_memory():
         tracemalloc.stop()
     assert oracle._states == 5
     assert held < 0.25 * 2**20
+
+
+def test_exact_structure_shared_per_graph_and_model():
+    # the masks and tables are built once per (graph, model); the memo and
+    # the explored-state count stay each oracle's own
+    g, icm = gen_gnm(12, 20, seed=3), CascadeModel.icm(0.5)
+    first, second = ExactOracle(g, icm), ExactOracle(g, CascadeModel.icm(0.5))
+    assert second._comps is first._comps
+    assert second._memos is not first._memos
+    value = first.value([0, 5])
+    assert first._states > 0 and second._states == 0
+    assert repr(second.value([0, 5])) == repr(value)
+    assert second._states == first._states
+    other = ExactOracle(g, CascadeModel.ltm())
+    assert other._comps is not first._comps
+    assert list(g._component_index().class_tables) == [("exact", icm), ("exact", CascadeModel.ltm())]
+
+
+def test_exact_structure_cache_clears_without_changing_results():
+    g = gen_gnm(10, 20, seed=3)
+    expected = [repr(sigma_exact(g, model, [0, 7])) for model in ALL_MODELS]
+    g = gen_gnm(10, 20, seed=3)
+    with mock.patch.object(MonteCarloOracle, "_TABLE_LIMIT", 2):
+        got = []
+        for model in ALL_MODELS:
+            got.append(repr(sigma_exact(g, model, [0, 7])))
+            assert len(g._component_index().class_tables) <= 2
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [*_PENDANT_GRAPHS, Graph(3, []), _double_star(50), gen_worstcase(5).graph, gen_gnm(30, 45, seed=7)],
+    ids=lambda g: repr(g),
+)
+def test_exact_masks_match_reference(g):
+    # each core vertex's mask is the sum of its neighbors' bits, and each
+    # hub's the sum (an OR) of its pendants' bits; every vertex is in the
+    # core or is a pendant of exactly one hub
+    index = g._component_index()
+    comps = ExactOracle(g, CascadeModel.icm(0.5))._comps
+    for ci, (core, pend) in enumerate(comps):
+        nbrs = [index.indices[ci][lo:hi].tolist() for lo, hi in itertools.pairwise(index.indptr[ci].tolist())]
+        leaves = {v for v, ns in enumerate(nbrs) if len(ns) == 1 and len(nbrs[ns[0]]) > 1}
+        assert [v for v, *_ in core] == [v for v in range(len(nbrs)) if v not in leaves]
+        for v, mask, d, table in core:
+            assert mask == sum(1 << c for c in nbrs[v]) and d == len(nbrs[v]) and len(table) == d + 1
+        assert dict(pend) == {
+            h: sum(1 << v for v in leaves if nbrs[v] == [h])
+            for h in sorted({nbrs[v][0] for v in leaves})
+        }
 
 
 # ---------------------------------------------------------------- oracles

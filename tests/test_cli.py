@@ -11,7 +11,7 @@ import pytest
 
 import infmax
 from infmax import FormatError, Graph, load_edge_list, parse_bench_config, read_tree
-from infmax.cli import _build_parser, main
+from infmax.cli import _build_parser, _read_seed_file, main
 
 
 def run(*argv):
@@ -99,8 +99,18 @@ def test_missing_graph_is_exit_3(tmp_path, capsys):
     undecodable.write_bytes(b"0 1\n\xff\n")
     for graph in (tmp_path, undecodable):
         assert run("decompose", "--method", "jaccard", "--graph", graph, "--out", tmp_path / "t.tree") == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(graph) in err
     assert not (tmp_path / "t.tree").exists()
+
+
+def test_undecodable_files_name_their_path(tmp_path):
+    # every reader of a text file raises FormatError with the file's path
+    undecodable = tmp_path / "ff.txt"
+    undecodable.write_bytes(b"hier v1 1\n0 -1 0\n\xff\n")
+    for read in (load_edge_list, read_tree, parse_bench_config, lambda p: _read_seed_file(p, 3)):
+        with pytest.raises(FormatError, match=re.escape(f"{undecodable}: ") + ".*can't decode"):
+            read(undecodable)
 
 
 def test_malformed_tree_is_exit_3(triangle, tmp_path):
