@@ -92,26 +92,6 @@ class CascadeModel:
             elif val is not None:
                 raise ValueError(f"model {self.kind} does not take parameter {name}")
 
-    @classmethod
-    def icm(cls, p: float) -> "CascadeModel":
-        return cls("icm", p=p)
-
-    @classmethod
-    def ltm(cls) -> "CascadeModel":
-        return cls("ltm")
-
-    @classmethod
-    def dicm(cls, p: float, q: float) -> "CascadeModel":
-        return cls("dicm", p=p, q=q)
-
-    @classmethod
-    def scm(cls) -> "CascadeModel":
-        return cls("scm")
-
-    @classmethod
-    def twostep(cls, eps: float) -> "CascadeModel":
-        return cls("twostep", eps=eps)
-
     @property
     def spec(self) -> str:
         """Canonical spec string, parseable by parse_model."""
@@ -510,16 +490,9 @@ class MonteCarloOracle:
     # result.
     _MEMO_LIMIT = 200_000
 
-    # Bound on the tables one component index keeps, one per model and oracle kind.
-    _TABLE_LIMIT = 16
-
     def _classes(self, ci: int, theta: np.ndarray) -> np.ndarray:
-        index = self._index
-        table = index.class_tables.get(self.model)
-        if table is None:
-            if len(index.class_tables) >= self._TABLE_LIMIT:
-                index.class_tables.clear()
-            table = index.class_tables[self.model] = _class_table(self.model, self.graph.degrees)
+        index, model = self._index, self.model
+        table = index.table(model, lambda: _class_table(model, self.graph.degrees))
         return _map_classes(table, index.degrees[ci], theta, index.members[ci])
 
     def sigma(self, seeds) -> SigmaEstimate:
@@ -619,28 +592,23 @@ class ExactOracle:
     vector of counts.  Each oracle keeps one memo per component, mapping
     each state key to its value; a query's start state (its seeds' mask, no
     counts) is one more key in it, so a repeated seed set is one memo hit
-    per component.  The explored-state budget guards against exponential
-    blowups and raises CapacityError when exceeded.  The masks and f tables
-    are built once per (graph, model) and kept on the graph (_exact_structure).
+    per component.  Past _BUDGET explored states it raises CapacityError, a
+    guard against exponential blowups.  _exact_structure builds the masks and
+    f tables once per (graph, model); the graph's component index keeps them.
 
     calls counts every sigma()/value() invocation, cache hits included.
     """
 
-    def __init__(self, graph, model: CascadeModel, budget: int = 10_000_000):
+    # Explored states one oracle may value before it raises CapacityError.
+    _BUDGET = 10_000_000
+
+    def __init__(self, graph, model: CascadeModel):
         self.graph = graph
         self.model = model
-        self.budget = _integer(budget, "budget")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
         self.calls = 0
         self._states = 0
-        self._index = index = graph._component_index()
-        tables = index.class_tables
-        if (shared := tables.get(("exact", model))) is None:
-            if len(tables) >= MonteCarloOracle._TABLE_LIMIT:
-                tables.clear()
-            shared = tables["exact", model] = _exact_structure(graph, model)
-        self._p1, self._comps = shared
+        self._index = graph._component_index()
+        self._p1, self._comps = self._index.table(("exact", model), lambda: _exact_structure(graph, model))
         self._memos = [{} for _ in self._comps]
 
     def value(self, seeds) -> float:
@@ -673,8 +641,8 @@ class ExactOracle:
                 val = memo[key] = gain + p * vals.pop() + (1.0 - p) * no
             elif (val := memo.get(key)) is None:
                 self._states += 1
-                if self._states > self.budget:
-                    raise CapacityError(f"exact oracle exceeded {self.budget} explored states")
+                if self._states > self._BUDGET:
+                    raise CapacityError(f"exact oracle exceeded {self._BUDGET} explored states")
                 I, P, surv = key[0], key[1], dict(key[2])
                 # Scan the core until a scan changes nothing: certain
                 # activations may cascade, and zero-probability steps just
@@ -763,6 +731,6 @@ def _exact_structure(graph, model: CascadeModel) -> tuple:
     return model.f_table(1).tolist()[1], comps
 
 
-def sigma_exact(graph, model: CascadeModel, seeds, budget: int = 10_000_000) -> float:
+def sigma_exact(graph, model: CascadeModel, seeds) -> float:
     """Exact expected infected count from seeds (capacity-guarded)."""
-    return ExactOracle(graph, model, budget=budget).value(seeds)
+    return ExactOracle(graph, model).value(seeds)

@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .cascade import OracleConfig, _parse_params, parse_model, sigma_exact, sigma_mc
+from .cascade import OracleConfig, _parse_params, parse_model
 from .decomposition import (
     build_bisection,
     build_jaccard,
@@ -32,7 +32,7 @@ from .decomposition import (
 )
 from .errors import CapacityError, ConsistencyError, FormatError
 from .graph import Graph, _open_text, _parse_int, _write_atomic, gen_gnm, load_edge_list
-from .optimize import brute_force, dpim, greedy, mpa
+from .optimize import _make_oracle, brute_force, dpim, greedy, mpa
 from .synthgen import gen_hierarchical, gen_worstcase
 from ._rng import DOMAIN_BENCH_ROW, DOMAIN_BENCH_TREE, _integer, mix64
 
@@ -132,12 +132,8 @@ def _cmd_sigma(args) -> int:
     graph = load_edge_list(args.graph)
     model = parse_model(args.cascade)
     seeds = _read_seed_file(args.seeds, graph.n)
-    cfg = _oracle_config(args)
-    if cfg == "exact":
-        print(f"{sigma_exact(graph, model, seeds)!r} 0.0")
-    else:
-        est = sigma_mc(graph, model, seeds, cfg)
-        print(f"{est.mean!r} {est.stderr!r}")
+    est = _make_oracle(graph, model, _oracle_config(args)).sigma(seeds)
+    print(f"{est.mean!r} {est.stderr!r}")
     return 0
 
 

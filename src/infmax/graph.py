@@ -12,7 +12,8 @@ A Graph holds its adjacency as one int32 CSR matrix, built with the graph;
 neighbor lists and degrees are read from it.  The connected-component index
 that both influence oracles share (component labels, local columns, each
 component's adjacency in local columns, and the per-component split of a
-seed set) is built from the CSR on first use and cached on the graph.
+seed set) is built from the CSR on first use and cached on the graph.  It
+also keeps up to _TABLE_LIMIT tables that the oracles build (table()).
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from ._rng import DOMAIN_GNM, _integer, generator
 
 # \d also matches non-ASCII digits, so such a header is read, and refused.
 _NODES_HEADER = re.compile(r"^#\s*nodes:\s*(\d+)\s*$")
+
+# Tables one component index keeps at most; a full index drops them all.
+_TABLE_LIMIT = 16
 
 
 class Graph:
@@ -97,9 +101,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self._degrees
 
-    def degree(self, v: int) -> int:
-        return int(self._degrees[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v (read-only view of the CSR)."""
         indptr = self._csr.indptr
@@ -154,9 +155,8 @@ class _ComponentIndex:
     ascending order, and indptr[ci], indices[ci] and degrees[ci] are its
     adjacency in local columns: the graph's CSR rows of members[ci],
     remapped through local.  members, indices and degrees are read-only
-    views of arrays that all components share.  class_tables holds, per
-    model, the Monte Carlo oracle's count-class bucket table and, under
-    ("exact", model), the exact oracle's masks and f tables (cascade.py).
+    views of arrays that all components share.  class_tables holds the
+    tables that table() built, by key.
     """
 
     def __init__(self, csr):
@@ -191,6 +191,16 @@ class _ComponentIndex:
             groups.setdefault(ci, []).append(col)
         return [(ci, tuple(cols)) for ci, cols in sorted(groups.items())]
 
+    def table(self, key, build):
+        """class_tables[key], set to build() if missing.  A new table past
+        _TABLE_LIMIT clears them all first: each rebuilds with the same bytes."""
+        table = self.class_tables.get(key)
+        if table is None:
+            if len(self.class_tables) >= _TABLE_LIMIT:
+                self.class_tables.clear()
+            table = self.class_tables[key] = build()
+        return table
+
 
 class _SeedKey(frozenset):
     """A seed set that _seed_key has checked: ints in [0, n)."""
@@ -211,11 +221,16 @@ def _seed_key(seeds, n: int) -> _SeedKey:
 
 
 def _write_atomic(path, lines) -> None:
-    """Stream the strings lines to path through a temporary file, replaced in one step."""
+    """Stream lines to path through a temporary file, removed if the write or the replace fails."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(lines)
-    os.replace(tmp, path)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @contextlib.contextmanager
@@ -268,31 +283,19 @@ def load_edge_list(path) -> Graph:
             u, v = _parse_int(tokens[0], where), _parse_int(tokens[1], where)
             pairs.append((u, v, lineno))
 
-    edges = set()
-    if forced_n is not None:
-        n = forced_n
-        for u, v, lineno in pairs:
-            if u < 0 or v < 0:
-                raise FormatError(f"{path}:{lineno}: negative id with nodes header")
-            n = max(n, u + 1, v + 1)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-        if n == 0:
-            raise FormatError(f"{path}: empty graph")
-        return Graph(n, edges)
-
-    remap: dict[int, int] = {}
-    for u, v, _ in pairs:
-        for x in (u, v):
-            if x not in remap:
-                remap[x] = len(remap)
+    remap = None if forced_n is not None else {}
+    n, edges = forced_n or 0, set()
+    for u, v, lineno in pairs:
+        if remap is not None:
+            u, v = remap.setdefault(u, len(remap)), remap.setdefault(v, len(remap))
+        elif u < 0 or v < 0:
+            raise FormatError(f"{path}:{lineno}: negative id with nodes header")
+        n = max(n, u + 1, v + 1)
         if u != v:
-            a, b = remap[u], remap[v]
-            edges.add((min(a, b), max(a, b)))
-    if not remap:
+            edges.add((min(u, v), max(u, v)))
+    if n == 0:
         raise FormatError(f"{path}: empty graph")
-    orig = sorted(remap, key=remap.get)
-    return Graph(len(remap), edges, orig_ids=orig)
+    return Graph(n, edges, orig_ids=None if remap is None else list(remap))
 
 
 def gen_gnm(n: int, m: int, seed: int) -> Graph:

@@ -150,4 +150,4 @@ def gen_worstcase(n: int) -> WorstCaseInstance:
         return ids[0] if len(ids) == 1 else (balanced(ids[:mid]), balanced(ids[mid:]))
 
     tree = tree_from_nested((balanced(clique), (balanced(star1), balanced(star2))))
-    return WorstCaseInstance(graph, CascadeModel.twostep(1.0 / (n * n)), tree, n)
+    return WorstCaseInstance(graph, CascadeModel("twostep", eps=1.0 / (n * n)), tree, n)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infmax import cascade
+from infmax import graph as graph_module
 from infmax._rng import _integer
 from infmax.graph import _SeedKey, _seed_key
 from infmax import (
@@ -32,11 +33,11 @@ from infmax import (
 )
 
 ALL_MODELS = [
-    CascadeModel.icm(0.3),
-    CascadeModel.ltm(),
-    CascadeModel.dicm(0.3, 0.2),
-    CascadeModel.scm(),
-    CascadeModel.twostep(0.05),
+    CascadeModel("icm", p=0.3),
+    CascadeModel("ltm"),
+    CascadeModel("dicm", p=0.3, q=0.2),
+    CascadeModel("scm"),
+    CascadeModel("twostep", eps=0.05),
 ]
 
 
@@ -44,26 +45,26 @@ ALL_MODELS = [
 
 
 def test_icm_values():
-    m = CascadeModel.icm(0.3)
+    m = CascadeModel("icm", p=0.3)
     assert m.f_table(5)[0] == 0.0
     assert m.f_table(5)[1] == pytest.approx(0.3)
     assert m.f_table(5)[2] == pytest.approx(1 - 0.7**2)
 
 
 def test_ltm_values():
-    m = CascadeModel.ltm()
+    m = CascadeModel("ltm")
     assert m.f_table(5)[2] == pytest.approx(0.4)
     assert m.f_table(5)[5] == 1.0
 
 
 def test_dicm_deflates_only_singletons():
-    m = CascadeModel.dicm(0.01, 0.1)
+    m = CascadeModel("dicm", p=0.01, q=0.1)
     assert m.f_table(5)[1] == pytest.approx(0.001)
     assert m.f_table(5)[2] == pytest.approx(1 - 0.99**2)
 
 
 def test_scm_values():
-    m = CascadeModel.scm()
+    m = CascadeModel("scm")
     assert m.f_table(3)[2] == 0.5
     assert m.f_table(3)[3] == 1.0
     assert m.f_table(3)[0] == 0.0
@@ -72,7 +73,7 @@ def test_scm_values():
 
 
 def test_twostep_values():
-    m = CascadeModel.twostep(0.05)
+    m = CascadeModel("twostep", eps=0.05)
     assert m.f_table(9)[1] == 0.05
     assert m.f_table(9)[2] == 1.0
     assert m.f_table(9)[7] == 1.0
@@ -85,8 +86,8 @@ _WITNESS_P = 0.04097352393619469
 @pytest.mark.parametrize(
     "model",
     ALL_MODELS
-    + [CascadeModel.icm(p) for p in (_WITNESS_P, 0.001, 0.1, 0.5, 0.731)]
-    + [CascadeModel.dicm(p, q) for p in (_WITNESS_P, 0.1, 0.62) for q in (0.1, 0.45)],
+    + [CascadeModel("icm", p=p) for p in (_WITNESS_P, 0.001, 0.1, 0.5, 0.731)]
+    + [CascadeModel("dicm", p=p, q=q) for p in (_WITNESS_P, 0.1, 0.62) for q in (0.1, 0.45)],
     ids=lambda m: m.spec,
 )
 def test_local_influence_is_the_table_entry(model):
@@ -113,7 +114,7 @@ def _scalar_f(model, c, d):
 
 
 def test_local_influence_witness_entry():
-    assert CascadeModel.icm(_WITNESS_P).f_table(9)[9] == 0.3137610363461497
+    assert CascadeModel("icm", p=_WITNESS_P).f_table(9)[9] == 0.3137610363461497
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind)
@@ -130,7 +131,7 @@ def test_dicm_submodularity_boundary():
     # the second neighbor helps more than the first iff q < 1 - p/2
     p = 0.3
     for q, violates in [(0.5, True), (0.9, False)]:
-        m = CascadeModel.dicm(p, q)
+        m = CascadeModel("dicm", p=p, q=q)
         first = m.f_table(5)[1]
         second = m.f_table(5)[2] - first
         assert (second > first) == violates
@@ -144,9 +145,9 @@ def test_parse_model_round_trip():
     # numpy numbers are stored as Python floats, so spec still parses
     for m, spec in [
         (CascadeModel("icm", p=np.float32(0.1)), "icm:p=0.10000000149011612"),
-        (CascadeModel.dicm(np.float64(0.25), np.int64(1)), "dicm:p=0.25,q=1.0"),
+        (CascadeModel("dicm", p=np.float64(0.25), q=np.int64(1)), "dicm:p=0.25,q=1.0"),
         (CascadeModel("twostep", eps=np.uint8(0)), "twostep:eps=0.0"),
-        (CascadeModel.icm(1), "icm:p=1.0"),
+        (CascadeModel("icm", p=1), "icm:p=1.0"),
     ]:
         assert m.spec == spec and parse_model(spec) == m
         assert {type(v) for v in (m.p, m.q, m.eps) if v is not None} == {float}
@@ -157,9 +158,9 @@ def test_model_parameters_must_be_numbers():
         with pytest.raises(ValueError):
             CascadeModel("icm", p=bad)
         with pytest.raises(ValueError):
-            CascadeModel.dicm(0.5, bad)
+            CascadeModel("dicm", p=0.5, q=bad)
     with pytest.raises(ValueError, match="not a real number"):
-        CascadeModel.twostep(np.bool_(False))
+        CascadeModel("twostep", eps=np.bool_(False))
 
 
 def test_parse_model_rejects():
@@ -184,13 +185,13 @@ def _thresholds(n, seed):
 
 def test_simulate_empty_seed_set():
     g = gen_gnm(8, 12, seed=1)
-    out = simulate_cascade(g, CascadeModel.icm(0.9), set(), _thresholds(8, 0))
+    out = simulate_cascade(g, CascadeModel("icm", p=0.9), set(), _thresholds(8, 0))
     assert out == set()
 
 
 def test_simulate_certain_edge():
     g = Graph(2, [(0, 1)])
-    out = simulate_cascade(g, CascadeModel.icm(1.0), {0}, np.array([0.5, 1.0]))
+    out = simulate_cascade(g, CascadeModel("icm", p=1.0), {0}, np.array([0.5, 1.0]))
     assert out == {0, 1}
 
 
@@ -198,20 +199,20 @@ def test_simulate_two_step_pair():
     # both triangle corners seeded: the third vertex sees two infected
     # neighbors, so f = 1 and it always joins
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    out = simulate_cascade(g, CascadeModel.twostep(0.0025), {0, 1}, np.ones(3))
+    out = simulate_cascade(g, CascadeModel("twostep", eps=0.0025), {0, 1}, np.ones(3))
     assert out == {0, 1, 2}
 
 
 def test_simulate_threshold_gate():
     g = Graph(2, [(0, 1)])
-    m = CascadeModel.icm(0.5)
+    m = CascadeModel("icm", p=0.5)
     assert simulate_cascade(g, m, {0}, np.array([1.0, 0.5])) == {0, 1}
     assert simulate_cascade(g, m, {0}, np.array([1.0, 0.500001])) == {0}
 
 
 def test_simulate_validates_inputs():
     g = Graph(2, [(0, 1)])
-    m = CascadeModel.ltm()
+    m = CascadeModel("ltm")
     with pytest.raises(ValueError):
         simulate_cascade(g, m, {5}, np.ones(2))
     with pytest.raises(ValueError):
@@ -223,7 +224,7 @@ def test_simulate_validates_inputs():
 def test_simulate_rejects_nan_thresholds():
     # NaN compares false both ways, so a min/max range check lets it through
     with pytest.raises(ValueError):
-        simulate_cascade(gen_gnm(5, 4, seed=1), CascadeModel.icm(0.5), [0], [math.nan] * 5)
+        simulate_cascade(gen_gnm(5, 4, seed=1), CascadeModel("icm", p=0.5), [0], [math.nan] * 5)
 
 
 def test_simulate_zero_threshold_fires_unprompted():
@@ -231,7 +232,7 @@ def test_simulate_zero_threshold_fires_unprompted():
     # neighbor and passes the cascade on to 2 but not to 0, whose threshold
     # is out of reach; isolated 3 joins alone
     g = Graph(4, [(0, 1), (1, 2)])
-    out = simulate_cascade(g, CascadeModel.icm(0.5), set(), np.array([1.0, 0.0, 0.5, 0.0]))
+    out = simulate_cascade(g, CascadeModel("icm", p=0.5), set(), np.array([1.0, 0.0, 0.5, 0.0]))
     assert out == {1, 2, 3}
 
 
@@ -241,7 +242,7 @@ def test_simulate_monotone_in_seeds(ts):
     # fixed thresholds: a superset of seeds infects a superset of vertices
     g = gen_gnm(12, 22, seed=5)
     theta = _thresholds(12, ts)
-    m = CascadeModel.ltm()
+    m = CascadeModel("ltm")
     small = simulate_cascade(g, m, {0}, theta)
     big = simulate_cascade(g, m, {0, 3, 7}, theta)
     assert small <= big
@@ -253,7 +254,7 @@ def test_simulate_idempotent(ts):
     # rerunning from the fixed point adds nothing
     g = gen_gnm(12, 22, seed=6)
     theta = _thresholds(12, ts)
-    m = CascadeModel.icm(0.6)
+    m = CascadeModel("icm", p=0.6)
     out = simulate_cascade(g, m, {1, 2}, theta)
     assert simulate_cascade(g, m, out, theta) == out
 
@@ -275,12 +276,12 @@ def _reference_classes(model, degrees, theta):
 # one bucket, so the bisection takes several steps.
 _CLASS_MODELS = [
     *ALL_MODELS,
-    CascadeModel.icm(0.0),
-    CascadeModel.icm(0.5),
-    CascadeModel.icm(1.0),
-    CascadeModel.dicm(0.3, 0.0),
-    CascadeModel.twostep(0.0),
-    CascadeModel.twostep(1.0),
+    CascadeModel("icm", p=0.0),
+    CascadeModel("icm", p=0.5),
+    CascadeModel("icm", p=1.0),
+    CascadeModel("dicm", p=0.3, q=0.0),
+    CascadeModel("twostep", eps=0.0),
+    CascadeModel("twostep", eps=1.0),
 ]
 _CLASS_DEGREES = [0, 1, 2, 3, 9, 69, 1023, 1024, 1025, 5000]
 
@@ -313,8 +314,8 @@ def _class_cases(draw):
 
 @pytest.mark.parametrize("block", [1, 7, cascade._CLASS_BLOCK])
 @given(case=_class_cases())
-@example(case=(CascadeModel.ltm(), np.array([5000]), np.array([[0.5001], [1.0]]), np.array([0])))
-@example(case=(CascadeModel.scm(), np.array([5000, 0]), np.array([0.0, 0.0]), np.array([0, 1])))
+@example(case=(CascadeModel("ltm"), np.array([5000]), np.array([[0.5001], [1.0]]), np.array([0])))
+@example(case=(CascadeModel("scm"), np.array([5000, 0]), np.array([0.0, 0.0]), np.array([0, 1])))
 @settings(max_examples=150, deadline=None)
 def test_count_classes_match_searchsorted(block, case):
     # a block of 1 or 7 entries maps one row at a time, or leaves a ragged
@@ -333,7 +334,7 @@ def test_count_classes_memory_is_bounded():
     # bucket table (about 1.2 MB here), however many repetitions there are
     rng = np.random.default_rng(3)
     degrees = rng.poisson(10, size=10**4)
-    model = CascadeModel.icm(0.1)
+    model = CascadeModel("icm", p=0.1)
     for reps in (50, 200):
         theta = 1.0 - rng.random((reps, degrees.size))
         tracemalloc.start()
@@ -500,7 +501,7 @@ def test_batches_stay_under_the_entries_cap():
     # 100 reps of a 295-vertex component: 29,500 entries per set, so eight
     # sets fill a block of 2**18 and 25 fresh sets take four kernel calls
     g = gen_gnm(300, 600, seed=5)
-    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(100, 4))
+    oracle = MonteCarloOracle(g, CascadeModel("scm"), OracleConfig(100, 4))
     giant = g.components()[0].tolist()
     assert len(giant) == 295 and cascade._CLOSURE_ENTRIES == 2**18
     sets = [giant[i : i + 3] for i in range(0, 75, 3)]
@@ -508,14 +509,14 @@ def test_batches_stay_under_the_entries_cap():
         got = [repr(est) for est in oracle.sigma_many(sets)]
     shapes = [(len(c.args[3]), c.args[2].shape) for c in kernel.call_args_list]
     assert shapes == [(8, (100, 295))] * 3 + [(1, (100, 295))]
-    fresh = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(100, 4))
+    fresh = MonteCarloOracle(g, CascadeModel("scm"), OracleConfig(100, 4))
     assert got == [repr(fresh.sigma(s)) for s in sets]
     # a set whose entries alone pass the cap runs in a block of its own
     with (
         mock.patch.object(cascade, "_CLOSURE_ENTRIES", 1000),
         mock.patch.object(cascade, "_closure", wraps=cascade._closure) as kernel,
     ):
-        capped = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(100, 4))
+        capped = MonteCarloOracle(g, CascadeModel("scm"), OracleConfig(100, 4))
         assert [repr(est) for est in capped.sigma_many(sets)] == got
     assert all(len(c.args[3]) == 1 for c in kernel.call_args_list)
 
@@ -550,21 +551,21 @@ def test_sigma_mc_pinned(model, mode):
 
 def test_exact_single_edge():
     g = Graph(2, [(0, 1)])
-    assert sigma_exact(g, CascadeModel.icm(0.3), [0]) == pytest.approx(1.3)
+    assert sigma_exact(g, CascadeModel("icm", p=0.3), [0]) == pytest.approx(1.3)
 
 
 def test_exact_star_two_step():
     # center seeded: every leaf joins with prob eps, expected 1 + L*eps
     L = 400
     g = Graph(L + 1, [(0, i) for i in range(1, L + 1)])
-    val = sigma_exact(g, CascadeModel.twostep(0.0025), [0])
+    val = sigma_exact(g, CascadeModel("twostep", eps=0.0025), [0])
     assert val == 2.0
 
 
 def test_exact_triangle_two_step():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     eps = 0.0025
-    val = sigma_exact(g, CascadeModel.twostep(eps), [0])
+    val = sigma_exact(g, CascadeModel("twostep", eps=eps), [0])
     # second-order term: either neighbor firing makes the other certain
     assert val == pytest.approx(1 + 2 * (1 - (1 - eps) ** 2))
 
@@ -572,46 +573,45 @@ def test_exact_triangle_two_step():
 def test_exact_path_ltm():
     # 0-1-2 path, seed the end: deg(1)=2 so f(1)=1/2, then 2 is certain
     g = Graph(3, [(0, 1), (1, 2)])
-    val = sigma_exact(g, CascadeModel.ltm(), [0])
+    val = sigma_exact(g, CascadeModel("ltm"), [0])
     assert val == pytest.approx(1 + 0.5 * 2)
 
 
 def test_exact_empty_and_full():
     g = gen_gnm(6, 9, seed=2)
-    assert sigma_exact(g, CascadeModel.icm(0.5), []) == 0.0
-    assert sigma_exact(g, CascadeModel.icm(0.5), range(6)) == 6.0
+    assert sigma_exact(g, CascadeModel("icm", p=0.5), []) == 0.0
+    assert sigma_exact(g, CascadeModel("icm", p=0.5), range(6)) == 6.0
 
 
 def test_exact_additive_over_components():
     g = Graph(4, [(0, 1), (2, 3)])
-    m = CascadeModel.icm(0.25)
+    m = CascadeModel("icm", p=0.25)
     both = sigma_exact(g, m, [0, 2])
     assert both == pytest.approx(2 * 1.25)
 
 
 def test_exact_budget_guard():
     g = gen_gnm(24, 60, seed=3)
-    with pytest.raises(CapacityError):
-        sigma_exact(g, CascadeModel.icm(0.5), [0], budget=10)
-    # budget 0 explores no state; a negative budget is refused at once, as k is
-    with pytest.raises(CapacityError, match="exceeded 0 explored states"):
-        sigma_exact(g, CascadeModel.icm(0.5), [0], budget=0)
-    assert sigma_exact(g, CascadeModel.icm(0.5), [], budget=0) == 0.0
-    with pytest.raises(ValueError, match="budget must be nonnegative"):
-        ExactOracle(g, CascadeModel.icm(0.5), budget=-1)
+    with mock.patch.object(ExactOracle, "_BUDGET", 10), pytest.raises(CapacityError):
+        sigma_exact(g, CascadeModel("icm", p=0.5), [0])
+    # budget 0 explores no state
+    with mock.patch.object(ExactOracle, "_BUDGET", 0):
+        with pytest.raises(CapacityError, match="exceeded 0 explored states"):
+            sigma_exact(g, CascadeModel("icm", p=0.5), [0])
+        assert sigma_exact(g, CascadeModel("icm", p=0.5), []) == 0.0
 
 
 def test_exact_long_path_has_no_depth_limit():
     # one branch point per path vertex, far deeper than Python's recursion
     # limit; the value is 1 + 1/2 + 1/4 + ... rounded to 2.0
     g = Graph(1500, [(i, i + 1) for i in range(1499)])
-    assert sigma_exact(g, CascadeModel.icm(0.5), [0]) == 2.0
+    assert sigma_exact(g, CascadeModel("icm", p=0.5), [0]) == 2.0
 
 
 def _exact_memory_after_one_query(n):
     """Bytes the exact oracle still holds after valuing [0] on an n-vertex
     icm:p=0.5 path (about 2n states), counted by tracemalloc."""
-    oracle = ExactOracle(Graph(n, [(i, i + 1) for i in range(n - 1)]), CascadeModel.icm(0.5))
+    oracle = ExactOracle(Graph(n, [(i, i + 1) for i in range(n - 1)]), CascadeModel("icm", p=0.5))
     tracemalloc.start()
     try:
         oracle.value([0])
@@ -630,7 +630,7 @@ def test_exact_memory_grows_linearly_on_a_path():
 
 def test_exact_repeated_set_is_one_memo_hit():
     g = gen_gnm(10, 20, seed=3)
-    oracle = ExactOracle(g, CascadeModel.icm(0.5))
+    oracle = ExactOracle(g, CascadeModel("icm", p=0.5))
     first = oracle.sigma([4, 1])
     states = oracle._states
     assert states > 0
@@ -642,7 +642,7 @@ def test_exact_oracle_freed_without_cycle_collector():
     g = gen_gnm(7, 10, seed=1)
     gc.disable()
     try:
-        oracle = ExactOracle(g, CascadeModel.icm(0.5))
+        oracle = ExactOracle(g, CascadeModel("icm", p=0.5))
         oracle.value([0])
         ref = weakref.ref(oracle)
         del oracle
@@ -708,10 +708,12 @@ def test_sigma_exact_pinned():
     # fails here.
     digest = hashlib.sha256(_exact_dump().encode()).hexdigest()
     assert digest == _EXACT_PIN
-    g, model = gen_gnm(12, 24, seed=4), CascadeModel.icm(0.5)
-    assert repr(sigma_exact(g, model, [0], budget=3510)) == "9.295737743377686"
-    with pytest.raises(CapacityError, match="3509 explored states"):
-        sigma_exact(g, model, [0], budget=3509)
+    g, model = gen_gnm(12, 24, seed=4), CascadeModel("icm", p=0.5)
+    with mock.patch.object(ExactOracle, "_BUDGET", 3510):
+        assert repr(sigma_exact(g, model, [0])) == "9.295737743377686"
+    with mock.patch.object(ExactOracle, "_BUDGET", 3509):
+        with pytest.raises(CapacityError, match="3509 explored states"):
+            sigma_exact(g, model, [0])
 
 
 _EXACT_PIN = "0cc435ec3bbc6d526756a37c8c32df503a71045464350891901b01abf6c188cb"
@@ -752,10 +754,10 @@ _PENDANT_GRAPHS = [
 ]
 _PENDANT_MODELS = [
     *ALL_MODELS,
-    CascadeModel.icm(1.0),
-    CascadeModel.icm(0.0),
-    CascadeModel.twostep(0.0),
-    CascadeModel.twostep(1.0),
+    CascadeModel("icm", p=1.0),
+    CascadeModel("icm", p=0.0),
+    CascadeModel("twostep", eps=0.0),
+    CascadeModel("twostep", eps=1.0),
 ]
 
 
@@ -792,7 +794,7 @@ def test_exact_pendants_match_enumeration(model):
 def test_exact_settled_pendants_hold_no_per_leaf_memory():
     # Every leaf of both hubs is settled at once, so the five states' keys
     # hold two masks each, not one survived-count pair per leaf.
-    oracle = ExactOracle(_double_star(10**4), CascadeModel.icm(0.5))
+    oracle = ExactOracle(_double_star(10**4), CascadeModel("icm", p=0.5))
     tracemalloc.start()
     try:
         assert oracle.value([2]) == 3751.5
@@ -806,24 +808,24 @@ def test_exact_settled_pendants_hold_no_per_leaf_memory():
 def test_exact_structure_shared_per_graph_and_model():
     # the masks and tables are built once per (graph, model); the memo and
     # the explored-state count stay each oracle's own
-    g, icm = gen_gnm(12, 20, seed=3), CascadeModel.icm(0.5)
-    first, second = ExactOracle(g, icm), ExactOracle(g, CascadeModel.icm(0.5))
+    g, icm = gen_gnm(12, 20, seed=3), CascadeModel("icm", p=0.5)
+    first, second = ExactOracle(g, icm), ExactOracle(g, CascadeModel("icm", p=0.5))
     assert second._comps is first._comps
     assert second._memos is not first._memos
     value = first.value([0, 5])
     assert first._states > 0 and second._states == 0
     assert repr(second.value([0, 5])) == repr(value)
     assert second._states == first._states
-    other = ExactOracle(g, CascadeModel.ltm())
+    other = ExactOracle(g, CascadeModel("ltm"))
     assert other._comps is not first._comps
-    assert list(g._component_index().class_tables) == [("exact", icm), ("exact", CascadeModel.ltm())]
+    assert list(g._component_index().class_tables) == [("exact", icm), ("exact", CascadeModel("ltm"))]
 
 
 def test_exact_structure_cache_clears_without_changing_results():
     g = gen_gnm(10, 20, seed=3)
     expected = [repr(sigma_exact(g, model, [0, 7])) for model in ALL_MODELS]
     g = gen_gnm(10, 20, seed=3)
-    with mock.patch.object(MonteCarloOracle, "_TABLE_LIMIT", 2):
+    with mock.patch.object(graph_module, "_TABLE_LIMIT", 2):
         got = []
         for model in ALL_MODELS:
             got.append(repr(sigma_exact(g, model, [0, 7])))
@@ -841,7 +843,7 @@ def test_exact_masks_match_reference(g):
     # hub's the sum (an OR) of its pendants' bits; every vertex is in the
     # core or is a pendant of exactly one hub
     index = g._component_index()
-    comps = ExactOracle(g, CascadeModel.icm(0.5))._comps
+    comps = ExactOracle(g, CascadeModel("icm", p=0.5))._comps
     for ci, (core, pend) in enumerate(comps):
         nbrs = [index.indices[ci][lo:hi].tolist() for lo, hi in itertools.pairwise(index.indptr[ci].tolist())]
         leaves = {v for v, ns in enumerate(nbrs) if len(ns) == 1 and len(nbrs[ns[0]]) > 1}
@@ -859,7 +861,7 @@ def test_exact_masks_match_reference(g):
 
 def test_mc_matches_exact_on_edge():
     g = Graph(2, [(0, 1)])
-    est = sigma_mc(g, CascadeModel.icm(0.3), [0], OracleConfig(40000, 9))
+    est = sigma_mc(g, CascadeModel("icm", p=0.3), [0], OracleConfig(40000, 9))
     assert est.mean == pytest.approx(1.3, abs=4 * est.stderr)
     assert est.reps == 40000
     assert est.stderr > 0
@@ -867,7 +869,7 @@ def test_mc_matches_exact_on_edge():
 
 def test_mc_stderr_formula():
     g = Graph(2, [(0, 1)])
-    oracle = MonteCarloOracle(g, CascadeModel.icm(0.3), OracleConfig(1000, 9))
+    oracle = MonteCarloOracle(g, CascadeModel("icm", p=0.3), OracleConfig(1000, 9))
     est = oracle.sigma([0])
     totals = 1 + (oracle._theta[:, 1] <= 0.3)
     assert est.mean == pytest.approx(totals.mean())
@@ -876,13 +878,13 @@ def test_mc_stderr_formula():
 
 def test_mc_single_rep_has_zero_stderr():
     g = Graph(2, [(0, 1)])
-    est = sigma_mc(g, CascadeModel.icm(0.3), [0], OracleConfig(1, 9))
+    est = sigma_mc(g, CascadeModel("icm", p=0.3), [0], OracleConfig(1, 9))
     assert est.stderr == 0.0
 
 
 def test_crn_is_deterministic():
     g = gen_gnm(15, 30, seed=4)
-    m = CascadeModel.icm(0.2)
+    m = CascadeModel("icm", p=0.2)
     a = sigma_mc(g, m, [0, 5], OracleConfig(500, 77))
     b = sigma_mc(g, m, [0, 5], OracleConfig(500, 77))
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
@@ -892,7 +894,7 @@ def test_crn_shared_across_queries():
     # same oracle instance: repeated query is bit-identical, and disjoint
     # component contributions add exactly
     g = Graph(4, [(0, 1), (2, 3)])
-    oracle = MonteCarloOracle(g, CascadeModel.icm(0.4), OracleConfig(2000, 5))
+    oracle = MonteCarloOracle(g, CascadeModel("icm", p=0.4), OracleConfig(2000, 5))
     ab = oracle.sigma([0, 2]).mean
     a = oracle.sigma([0]).mean
     b = oracle.sigma([2]).mean
@@ -901,7 +903,7 @@ def test_crn_shared_across_queries():
 
 def test_independent_mode_differs_from_crn():
     g = gen_gnm(15, 30, seed=4)
-    m = CascadeModel.icm(0.2)
+    m = CascadeModel("icm", p=0.2)
     crn = sigma_mc(g, m, [0, 5], OracleConfig(500, 77))
     ind = sigma_mc(g, m, [0, 5], OracleConfig(500, 77, mode=INDEPENDENT))
     assert crn.mean != ind.mean
@@ -914,7 +916,7 @@ def test_mc_batch_agrees_with_single_runs():
     # drive simulate_cascade with the oracle's own threshold rows; the
     # vectorized batch must reproduce each run exactly
     g = gen_gnm(10, 18, seed=8)
-    m = CascadeModel.dicm(0.4, 0.3)
+    m = CascadeModel("dicm", p=0.4, q=0.3)
     oracle = MonteCarloOracle(g, m, OracleConfig(64, 13))
     est = oracle.sigma([1, 4])
     sizes = [
@@ -926,7 +928,7 @@ def test_mc_batch_agrees_with_single_runs():
 
 def test_oracle_call_counter():
     g = Graph(3, [(0, 1), (1, 2)])
-    oracle = MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(10, 1))
+    oracle = MonteCarloOracle(g, CascadeModel("ltm"), OracleConfig(10, 1))
     assert oracle.calls == 0
     oracle.sigma([0])
     oracle.sigma([0])
@@ -935,7 +937,7 @@ def test_oracle_call_counter():
 
 def test_exact_oracle_counts_and_reps_zero():
     g = Graph(3, [(0, 1), (1, 2)])
-    oracle = ExactOracle(g, CascadeModel.ltm())
+    oracle = ExactOracle(g, CascadeModel("ltm"))
     est = oracle.sigma([0])
     assert est.reps == 0
     assert est.stderr == 0.0
@@ -945,10 +947,10 @@ def test_exact_oracle_counts_and_reps_zero():
 @pytest.mark.parametrize(
     "query",
     [
-        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1)).sigma,
-        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1, INDEPENDENT)).sigma,
-        lambda g: ExactOracle(g, CascadeModel.ltm()).value,
-        lambda g: ExactOracle(g, CascadeModel.ltm()).sigma,
+        lambda g: MonteCarloOracle(g, CascadeModel("ltm"), OracleConfig(5, 1)).sigma,
+        lambda g: MonteCarloOracle(g, CascadeModel("ltm"), OracleConfig(5, 1, INDEPENDENT)).sigma,
+        lambda g: ExactOracle(g, CascadeModel("ltm")).value,
+        lambda g: ExactOracle(g, CascadeModel("ltm")).sigma,
     ],
     ids=["mc-crn", "mc-independent", "exact-value", "exact-sigma"],
 )
@@ -962,10 +964,10 @@ def test_oracles_reject_seed_outside_graph(query):
 @pytest.mark.parametrize(
     "query",
     [
-        lambda g, seeds: sigma_mc(g, CascadeModel.ltm(), seeds, OracleConfig(5, 1)),
-        lambda g, seeds: sigma_mc(g, CascadeModel.ltm(), seeds, OracleConfig(5, 1, INDEPENDENT)),
-        lambda g, seeds: sigma_exact(g, CascadeModel.ltm(), seeds),
-        lambda g, seeds: simulate_cascade(g, CascadeModel.ltm(), seeds, np.ones(g.n)),
+        lambda g, seeds: sigma_mc(g, CascadeModel("ltm"), seeds, OracleConfig(5, 1)),
+        lambda g, seeds: sigma_mc(g, CascadeModel("ltm"), seeds, OracleConfig(5, 1, INDEPENDENT)),
+        lambda g, seeds: sigma_exact(g, CascadeModel("ltm"), seeds),
+        lambda g, seeds: simulate_cascade(g, CascadeModel("ltm"), seeds, np.ones(g.n)),
     ],
     ids=["mc-crn", "mc-independent", "exact", "simulate"],
 )
@@ -980,7 +982,7 @@ def test_seed_ids_must_be_integers(query):
 
 def test_mc_answer_memo_serves_repeats():
     g = gen_gnm(30, 50, seed=3)
-    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(40, 11))
+    oracle = MonteCarloOracle(g, CascadeModel("scm"), OracleConfig(40, 11))
     first = oracle.sigma([4, 9, 17])
     with (
         mock.patch.object(oracle._index, "split", wraps=oracle._index.split) as split,
@@ -1007,7 +1009,7 @@ def test_mc_answer_memo_serves_repeats():
 
 def test_mc_answer_memo_clears_without_changing_results():
     g = gen_gnm(30, 50, seed=3)
-    model, cfg = CascadeModel.dicm(0.4, 0.3), OracleConfig(40, 11)
+    model, cfg = CascadeModel("dicm", p=0.4, q=0.3), OracleConfig(40, 11)
     sets = [[0], [1, 2], [3, 4, 5], [0], [6], [1, 2], [3, 4, 5]]
     expected = [repr(MonteCarloOracle(g, model, cfg).sigma(s)) for s in sets]
     with mock.patch.object(MonteCarloOracle, "_MEMO_LIMIT", 2):
@@ -1032,7 +1034,7 @@ _BATCH = [[0, 5], [1], [], [0, 5], [2, 30, 47], [5, 0], [59], [3, 4, 6, 7, 8, 9]
 
 @pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
 def test_sigma_many_answers_as_sigma_does(mode):
-    g, model = _batch_graph(), CascadeModel.dicm(0.4, 0.3)
+    g, model = _batch_graph(), CascadeModel("dicm", p=0.4, q=0.3)
     cfg = OracleConfig(30, 9, mode)
     single = MonteCarloOracle(g, model, cfg)
     expected = [repr(single.sigma(s)) for s in _BATCH]
@@ -1051,7 +1053,7 @@ def test_sigma_many_answers_as_sigma_does(mode):
 
 def test_sigma_many_runs_each_component_once():
     g = _batch_graph()
-    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(30, 9))
+    oracle = MonteCarloOracle(g, CascadeModel("scm"), OracleConfig(30, 9))
     oracle.sigma([1])
     # one kernel call per component with a pair not cached: [1] was answered
     split = g._component_index().split
@@ -1070,19 +1072,19 @@ def test_fresh_set_is_split_once(mode):
     g, cfg = _batch_graph(), OracleConfig(30, 9, mode)
     index = g._component_index()
     with mock.patch.object(index, "split", wraps=index.split) as split:
-        oracle = MonteCarloOracle(g, CascadeModel.scm(), cfg)
+        oracle = MonteCarloOracle(g, CascadeModel("scm"), cfg)
         oracle.sigma([2, 30, 47])
         assert split.call_count == 1
         oracle.sigma([47, 2, 30])
         assert split.call_count == 1
         split.reset_mock()
-        fresh = MonteCarloOracle(g, CascadeModel.scm(), cfg)
+        fresh = MonteCarloOracle(g, CascadeModel("scm"), cfg)
         fresh.sigma_many(_BATCH)
         assert split.call_count == len({frozenset(s) for s in _BATCH})
 
 
 def test_sigma_many_with_a_tiny_memo():
-    g, model, cfg = _batch_graph(), CascadeModel.scm(), OracleConfig(30, 9)
+    g, model, cfg = _batch_graph(), CascadeModel("scm"), OracleConfig(30, 9)
     expected = [repr(MonteCarloOracle(g, model, cfg).sigma(s)) for s in _BATCH]
     with mock.patch.object(MonteCarloOracle, "_MEMO_LIMIT", 3):
         oracle = MonteCarloOracle(g, model, cfg)
@@ -1093,7 +1095,7 @@ def test_sigma_many_with_a_tiny_memo():
 
 
 def test_exact_sigma_many_loops_sigma():
-    g, model = _batch_graph(), CascadeModel.icm(0.4)
+    g, model = _batch_graph(), CascadeModel("icm", p=0.4)
     single = ExactOracle(g, model)
     expected = [single.sigma(s) for s in _BATCH]
     batched = ExactOracle(g, model)
@@ -1104,7 +1106,7 @@ def test_exact_sigma_many_loops_sigma():
 @pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
 def test_sigma_many_checks_each_id_once(mode):
     g = _batch_graph()
-    oracle = MonteCarloOracle(g, CascadeModel.scm(), OracleConfig(30, 9, mode))
+    oracle = MonteCarloOracle(g, CascadeModel("scm"), OracleConfig(30, 9, mode))
     with mock.patch("infmax.graph._integer", wraps=_integer) as check:
         oracle.sigma_many(_BATCH)
     assert check.call_count == sum(len(s) for s in _BATCH)
@@ -1126,9 +1128,9 @@ def test_checked_seed_key_is_not_checked_again():
 @pytest.mark.parametrize(
     "oracle",
     [
-        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1)),
-        lambda g: MonteCarloOracle(g, CascadeModel.ltm(), OracleConfig(5, 1, INDEPENDENT)),
-        lambda g: ExactOracle(g, CascadeModel.ltm()),
+        lambda g: MonteCarloOracle(g, CascadeModel("ltm"), OracleConfig(5, 1)),
+        lambda g: MonteCarloOracle(g, CascadeModel("ltm"), OracleConfig(5, 1, INDEPENDENT)),
+        lambda g: ExactOracle(g, CascadeModel("ltm")),
     ],
     ids=["mc-crn", "mc-independent", "exact"],
 )
@@ -1141,7 +1143,7 @@ def test_sigma_many_rejects_bad_ids(oracle):
 
 def test_bool_seed_ids_are_refused():
     # True is not read as vertex 1
-    g, model = Graph(3, [(0, 1)]), CascadeModel.icm(1.0)
+    g, model = Graph(3, [(0, 1)]), CascadeModel("icm", p=1.0)
     for seeds in ([True], [0, False], [np.True_]):
         with pytest.raises(ValueError, match="not an integer"):
             sigma_exact(g, model, seeds)
@@ -1158,14 +1160,14 @@ def test_class_table_cached_per_model():
     index = g._component_index()
     assert len(index.members) > 20
     cfg = OracleConfig(30, 5)
-    icm = CascadeModel.icm(0.4)
-    for model in (icm, CascadeModel.icm(0.4), CascadeModel.ltm()):
+    icm = CascadeModel("icm", p=0.4)
+    for model in (icm, CascadeModel("icm", p=0.4), CascadeModel("ltm")):
         oracle = MonteCarloOracle(g, model, cfg)
         oracle.sigma(range(g.n))
         for ci in range(len(index.members)):
             expected = cascade._count_classes(model, index.degrees[ci], oracle._theta, index.members[ci])
             assert np.array_equal(oracle._crn_classes[ci], expected)
-    assert list(index.class_tables) == [icm, CascadeModel.ltm()]
+    assert list(index.class_tables) == [icm, CascadeModel("ltm")]
 
 
 def test_class_table_cache_clears_without_changing_results():
@@ -1173,7 +1175,7 @@ def test_class_table_cache_clears_without_changing_results():
     cfg = OracleConfig(50, 3, INDEPENDENT)
     expected = [repr(sigma_mc(g, model, [0, 7, 13], cfg)) for model in ALL_MODELS]
     g = gen_gnm(40, 60, seed=12)
-    with mock.patch.object(MonteCarloOracle, "_TABLE_LIMIT", 2):
+    with mock.patch.object(graph_module, "_TABLE_LIMIT", 2):
         got = []
         for model in ALL_MODELS:
             got.append(repr(sigma_mc(g, model, [0, 7, 13], cfg)))
@@ -1188,7 +1190,7 @@ def test_config_rejects_non_integers():
     # numpy integers are accepted and stored as int, so the seed mixing works
     cfg = OracleConfig(np.int64(10), np.uint32(7))
     assert cfg == OracleConfig(10, 7) and type(cfg.master_seed) is int
-    g, model = Graph(2, [(0, 1)]), CascadeModel.icm(0.5)
+    g, model = Graph(2, [(0, 1)]), CascadeModel("icm", p=0.5)
     assert sigma_mc(g, model, [0], cfg) == sigma_mc(g, model, [0], OracleConfig(10, 7))
 
 

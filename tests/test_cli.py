@@ -42,6 +42,16 @@ def test_gen_gnm_writes_graph(tmp_path):
     assert (g.n, g.m) == (9, 14)
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # os.replace cannot put a file over a directory: the write fails with
+    # exit 3 and takes its temporary file with it
+    out = tmp_path / "d"
+    out.mkdir()
+    assert run("gen-gnm", "--n", 10, "--m", 5, "--seed", 1, "--out", out) == 3
+    assert str(out) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+
 def test_gen_gnm_requires_seed(tmp_path, capsys):
     rc = run("gen-gnm", "--n", 9, "--m", 14, "--out", tmp_path / "g.txt")
     assert rc == 2
@@ -158,6 +168,27 @@ def test_sigma_mc_deterministic(triangle, tmp_path, capsys):
     first = capsys.readouterr().out
     assert run(*args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("spec", ["icm:p=0.3", "dicm:p=0.4,q=0.3", "ltm", "scm", "twostep:eps=0.25"])
+def test_sigma_prints_the_library_estimate(tmp_path, capsys, spec):
+    # the CLI's "mean stderr" line is the library's estimate, repr for repr
+    model, seeds = infmax.parse_model(spec), [0, 3]
+    seed_file = tmp_path / "s.txt"
+    seed_file.write_text("0\n3\n")
+    for g, flags in (
+        (infmax.gen_gnm(30, 60, seed=2), ("--reps", 40, "--seed", 7)),
+        (infmax.gen_gnm(9, 12, seed=5), ("--exact",)),
+    ):
+        graph = tmp_path / "g.txt"
+        g.write(graph)
+        assert run("sigma", "--graph", graph, "--cascade", spec, "--seeds", seed_file, *flags) == 0
+        if flags[0] == "--exact":
+            expected = f"{infmax.sigma_exact(g, model, seeds)!r} 0.0"
+        else:
+            est = infmax.sigma_mc(g, model, seeds, infmax.OracleConfig(40, 7))
+            expected = f"{est.mean!r} {est.stderr!r}"
+        assert capsys.readouterr().out == expected + "\n"
 
 
 def test_sigma_requires_reps_or_exact(edge, tmp_path):
@@ -405,6 +436,18 @@ def test_bench_config_readme_example(tmp_path):
     assert (parsed.output, parsed.max_outer, parsed.timing) == ("results.csv", 10, "none")
 
 
+def test_readme_entry_points_exist():
+    # every name the README lists under "Key entry points" is on the package
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Key entry points:\n\n", 1)[1].split("\n\n", 1)[0]
+    names = [re.match(r"[\w.]+", name).group() for name in re.findall(r"`([^`]+)`", block)]
+    assert "Graph.write" in names and "gen_worstcase" in names
+    for name in names:
+        owner, _, attr = name.partition(".")
+        assert owner in infmax.__all__, name
+        assert not attr or hasattr(getattr(infmax, owner), attr), name
+
+
 def test_bench_tree_required_for_dpim(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(
@@ -612,7 +655,7 @@ def test_library_and_cli_print_nothing_unasked(tmp_path, capfd, caplog):
     # optimizers nor the oracles may print, warn or log on their own.
     g = infmax.gen_gnm(10, 16, seed=3)
     tree = infmax.build_bisection(g, 1)
-    model = infmax.CascadeModel.icm(0.3)
+    model = infmax.CascadeModel("icm", p=0.3)
     graph, tree_file, out = tmp_path / "g.txt", tmp_path / "t.tree", tmp_path / "s.txt"
     g.write(graph)
     infmax.write_tree(tree, tree_file)

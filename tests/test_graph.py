@@ -30,7 +30,7 @@ def test_rejects_self_loops_and_duplicates():
 def test_isolated_vertices_allowed():
     g = Graph(5, [(0, 1)])
     assert g.n == 5
-    assert g.degree(4) == 0
+    assert g.degrees[4] == 0
     assert len(g.components()) == 4
 
 
@@ -77,7 +77,7 @@ def test_nodes_header_fixes_count_and_ids(tmp_path):
     g = load_edge_list(p)
     assert g.n == 6
     # header keeps canonical ids: vertex 3 stays 3
-    assert g.degree(3) == 1
+    assert g.degrees[3] == 1
     assert g.original_id(3) == 3
 
 

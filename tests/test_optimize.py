@@ -39,7 +39,7 @@ def _k5():
 
 
 def test_greedy_k0():
-    res = greedy(_k5(), CascadeModel.icm(0.2), 0, "exact")
+    res = greedy(_k5(), CascadeModel("icm", p=0.2), 0, "exact")
     assert res.vertices == frozenset()
     assert res.sigma.mean == 0.0
     assert res.oracle_calls == 0
@@ -47,36 +47,36 @@ def test_greedy_k0():
 
 def test_greedy_symmetric_tie_breaks_low():
     # all K5 vertices are equivalent: ties resolve to the smallest id
-    res = greedy(_k5(), CascadeModel.icm(0.2), 2, "exact")
+    res = greedy(_k5(), CascadeModel("icm", p=0.2), 2, "exact")
     assert res.vertices == {0, 1}
 
 
 def test_greedy_prefers_high_degree_star():
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    res = greedy(g, CascadeModel.icm(0.5), 1, "exact")
+    res = greedy(g, CascadeModel("icm", p=0.5), 1, "exact")
     assert res.vertices == {0}
 
 
 def test_greedy_call_count():
     # n + (n-1) + ... evaluations, one per candidate per round
     g = gen_gnm(12, 20, seed=1)
-    res = greedy(g, CascadeModel.ltm(), 3, "exact")
+    res = greedy(g, CascadeModel("ltm"), 3, "exact")
     assert res.oracle_calls == 12 + 11 + 10
     assert res.oracle_calls <= 12 * 3
 
 
 def test_greedy_k_bounds():
     with pytest.raises(ValueError):
-        greedy(_k5(), CascadeModel.ltm(), 6, "exact")
+        greedy(_k5(), CascadeModel("ltm"), 6, "exact")
     with pytest.raises(ValueError):
-        greedy(_k5(), CascadeModel.ltm(), -1, "exact")
+        greedy(_k5(), CascadeModel("ltm"), -1, "exact")
 
 
 def test_greedy_mc_final_estimate_is_fresh():
     g = gen_gnm(10, 18, seed=2)
     cfg = OracleConfig(200, 5)
-    res = greedy(g, CascadeModel.icm(0.3), 2, cfg)
-    oracle = MonteCarloOracle(g, CascadeModel.icm(0.3), cfg)
+    res = greedy(g, CascadeModel("icm", p=0.3), 2, cfg)
+    oracle = MonteCarloOracle(g, CascadeModel("icm", p=0.3), cfg)
     assert res.sigma.mean != oracle.sigma(res.vertices).mean
     assert res.sigma.reps == 200
 
@@ -85,7 +85,7 @@ def test_oracle_for_another_model_rejected():
     # the search must run under the model the result reports
     g = gen_gnm(8, 12, seed=3)
     tree = build_bisection(g, 1)
-    icm, ltm = CascadeModel.icm(0.3), CascadeModel.ltm()
+    icm, ltm = CascadeModel("icm", p=0.3), CascadeModel("ltm")
     for oracle in (MonteCarloOracle(g, icm, OracleConfig(20, 1)), ExactOracle(g, icm)):
         with pytest.raises(ConsistencyError):
             greedy(g, ltm, 2, oracle)
@@ -94,7 +94,7 @@ def test_oracle_for_another_model_rejected():
         with pytest.raises(ConsistencyError):
             mpa(g, tree, ltm, 2, oracle)
         # an equal model built separately is the same model
-        assert greedy(g, CascadeModel.icm(0.3), 2, oracle).oracle_calls == 8 + 7
+        assert greedy(g, CascadeModel("icm", p=0.3), 2, oracle).oracle_calls == 8 + 7
 
 
 # ---------------------------------------------------------------- dpim
@@ -110,7 +110,7 @@ def _init_advice(graph, tree, model, k, cfg):
 def test_init_table_leaf_rows():
     g = Graph(2, [(0, 1)])
     tree = tree_from_nested((0, 1))
-    advice = _init_advice(g, tree, CascadeModel.icm(0.5), 1, "exact")
+    advice = _init_advice(g, tree, CascadeModel("icm", p=0.5), 1, "exact")
     leaf0 = tree.left(tree.root)  # vertex 0
     assert _retrieve_seeds(tree, advice, leaf0, LR, 0) == frozenset()
     assert _retrieve_seeds(tree, advice, leaf0, LR, 1) == {0}
@@ -123,7 +123,7 @@ def test_init_table_rows_stay_in_subtree():
     g = gen_gnm(8, 14, seed=3)
     tree = build_bisection(g, 1)
     k = 3
-    advice = _init_advice(g, tree, CascadeModel.icm(0.3), k, "exact")
+    advice = _init_advice(g, tree, CascadeModel("icm", p=0.3), k, "exact")
     for node in range(tree.node_count):
         leaves = leaf_set(tree, node)
         for i in range(k + 1):
@@ -136,7 +136,7 @@ def test_dpim_matches_brute_on_disjoint_edges():
     # oracle is exact and the tree respects components, so the DP is optimal
     g = Graph(4, [(0, 1), (2, 3)])
     tree = tree_from_nested(((0, 1), (2, 3)))
-    model = CascadeModel.twostep(0.25)
+    model = CascadeModel("twostep", eps=0.25)
     d = dpim(g, tree, model, 2, "exact")
     b = brute_force(g, model, 2, "exact")
     assert d.sigma.mean == pytest.approx(b.sigma.mean)
@@ -149,7 +149,7 @@ def test_dpim_call_bound():
     g = gen_gnm(10, 20, seed=4)
     tree = build_bisection(g, 2)
     k = 3
-    res = dpim(g, tree, CascadeModel.ltm(), k, "exact")
+    res = dpim(g, tree, CascadeModel("ltm"), k, "exact")
     assert res.oracle_calls <= (2 * g.n - 1) * (k + 1) ** 2
 
 
@@ -157,13 +157,13 @@ def test_dpim_rejects_foreign_tree():
     g = gen_gnm(6, 8, seed=5)
     tree = tree_from_nested((0, 1))
     with pytest.raises(ConsistencyError):
-        dpim(g, tree, CascadeModel.ltm(), 1, "exact")
+        dpim(g, tree, CascadeModel("ltm"), 1, "exact")
 
 
 def test_dpim_k0():
     g = gen_gnm(6, 8, seed=5)
     tree = build_bisection(g, 1)
-    res = dpim(g, tree, CascadeModel.ltm(), 0, "exact")
+    res = dpim(g, tree, CascadeModel("ltm"), 0, "exact")
     assert res.vertices == frozenset()
     assert res.sigma.mean == 0.0
 
@@ -218,7 +218,7 @@ def test_retrieve_deeper_than_recursion_limit():
 
 def test_mpa_deeper_than_recursion_limit():
     path = Graph(1500, [(v, v + 1) for v in range(1499)])
-    res = mpa(path, _caterpillar(1500), CascadeModel.icm(0.5), 1, OracleConfig(2, 1), max_outer=0)
+    res = mpa(path, _caterpillar(1500), CascadeModel("icm", p=0.5), 1, OracleConfig(2, 1), max_outer=0)
     assert len(res.vertices) == 1
 
 
@@ -228,7 +228,7 @@ def test_mpa_deeper_than_recursion_limit():
 def test_mpa_init_equals_dpim():
     g = gen_gnm(14, 28, seed=6)
     tree = build_bisection(g, 3)
-    model = CascadeModel.icm(0.25)
+    model = CascadeModel("icm", p=0.25)
     cfg = OracleConfig(150, 11)
     init = mpa(g, tree, model, 3, cfg, max_outer=0)
     plain = dpim(g, tree, model, 3, cfg)
@@ -241,7 +241,7 @@ def test_mpa_update_root_row_is_stable():
     # same row: there is no outside-the-root context to shift the argmax
     g = gen_gnm(10, 18, seed=7)
     tree = build_bisection(g, 2)
-    model = CascadeModel.icm(0.3)
+    model = CascadeModel("icm", p=0.3)
     oracle = MonteCarloOracle(g, model, OracleConfig(80, 21))
     advice = _init_advice(g, tree, model, 2, oracle)
     before = [advice[tree.root, LR, i] for i in range(3)]
@@ -253,7 +253,7 @@ def test_mpa_update_root_row_is_stable():
 def test_mpa_update_zero_budget_row():
     g = gen_gnm(10, 18, seed=7)
     tree = build_bisection(g, 2)
-    model = CascadeModel.icm(0.3)
+    model = CascadeModel("icm", p=0.3)
     advice = {}
     node = tree.left(tree.root)
     _update(_make_oracle(g, model, "exact"), tree, 2, advice, node, LU)
@@ -276,7 +276,7 @@ def test_mpa_update_worstcase_root_allocates_to_clique():
 def test_init_table_retrieval_matches_dpim():
     g = gen_gnm(12, 24, seed=15)
     tree = build_bisection(g, 6)
-    model = CascadeModel.dicm(0.25, 0.3)
+    model = CascadeModel("dicm", p=0.25, q=0.3)
     cfg = OracleConfig(90, 19)
     advice = _init_advice(g, tree, model, 3, cfg)
     got = _retrieve_seeds(tree, advice, tree.root, LR, 3)
@@ -288,12 +288,12 @@ def _sweep_instance(name):
     if name in ("guide", "bisection"):
         g, guide = gen_hierarchical(5, 15, 6, 3)
         tree = guide if name == "guide" else build_bisection(g, 1)
-        return g, tree, CascadeModel.scm(), 4, OracleConfig(30, 4)
+        return g, tree, CascadeModel("scm"), 4, OracleConfig(30, 4)
     if name == "worstcase":
         inst = gen_worstcase(4)
         return inst.graph, inst.truth_tree, inst.model, 2, "exact"
     path = Graph(6, [(v, v + 1) for v in range(5)])
-    return path, tree_from_nested((((((0, 1), 2), 3), 4), 5)), CascadeModel.icm(0.5), 2, "exact"
+    return path, tree_from_nested((((((0, 1), 2), 3), 4), 5)), CascadeModel("icm", p=0.5), 2, "exact"
 
 
 @pytest.mark.parametrize("name", ["guide", "bisection", "worstcase", "caterpillar"])
@@ -327,7 +327,7 @@ def test_advice_entries_are_valid_splits(name):
 def test_mpa_history_strictly_increases():
     g = gen_gnm(20, 45, seed=8)
     tree = build_bisection(g, 4)
-    res = mpa(g, tree, CascadeModel.dicm(0.3, 0.2), 4, OracleConfig(120, 13))
+    res = mpa(g, tree, CascadeModel("dicm", p=0.3, q=0.2), 4, OracleConfig(120, 13))
     hist = res.history
     assert all(b > a for a, b in zip(hist, hist[1:]))
     assert len(hist) - 1 <= 20
@@ -336,7 +336,7 @@ def test_mpa_history_strictly_increases():
 def test_mpa_never_below_dpim_under_crn():
     g = gen_gnm(18, 40, seed=9)
     tree = build_bisection(g, 5)
-    model = CascadeModel.icm(0.2)
+    model = CascadeModel("icm", p=0.2)
     cfg = OracleConfig(100, 17)
     d = dpim(g, tree, model, 4, cfg)
     m = mpa(g, tree, model, 4, cfg, max_outer=8)
@@ -354,7 +354,7 @@ def test_mpa_worstcase_keeps_clique():
 def test_mpa_k0():
     g = gen_gnm(8, 12, seed=10)
     tree = build_bisection(g, 1)
-    res = mpa(g, tree, CascadeModel.ltm(), 0, OracleConfig(50, 3))
+    res = mpa(g, tree, CascadeModel("ltm"), 0, OracleConfig(50, 3))
     assert res.vertices == frozenset()
 
 
@@ -363,7 +363,7 @@ def test_mpa_k0():
 
 def test_brute_force_exhaustive_small():
     g = gen_gnm(6, 9, seed=11)
-    model = CascadeModel.icm(0.4)
+    model = CascadeModel("icm", p=0.4)
     res = brute_force(g, model, 2, "exact")
     oracle = ExactOracle(g, model)
     best = max(
@@ -376,12 +376,12 @@ def test_brute_force_exhaustive_small():
 def test_brute_force_capacity_guard():
     g = gen_gnm(50, 100, seed=12)
     with pytest.raises(CapacityError):
-        brute_force(g, CascadeModel.ltm(), 25, "exact")
+        brute_force(g, CascadeModel("ltm"), 25, "exact")
 
 
 def test_brute_force_tie_breaks_lexicographic():
     g = Graph(4, [(0, 1), (2, 3)])
-    res = brute_force(g, CascadeModel.twostep(0.5), 2, "exact")
+    res = brute_force(g, CascadeModel("twostep", eps=0.5), 2, "exact")
     assert res.vertices == {0, 2}
 
 
@@ -409,8 +409,8 @@ def _optimizer_dump():
     """One line per optimizer run: seeds, sigma repr, oracle calls, history,
     plus every entry of the initial MPA split advice."""
     models = [
-        CascadeModel.icm(0.3), CascadeModel.dicm(0.3, 0.5), CascadeModel.ltm(),
-        CascadeModel.scm(), CascadeModel.twostep(0.2),
+        CascadeModel("icm", p=0.3), CascadeModel("dicm", p=0.3, q=0.5), CascadeModel("ltm"),
+        CascadeModel("scm"), CascadeModel("twostep", eps=0.2),
     ]
     lines = []
     for g in (gen_gnm(9, 12, seed=5), gen_gnm(8, 5, seed=2)):
@@ -449,7 +449,7 @@ def _midsize_dump():
     g, guide = gen_hierarchical(5, 15, 6, 3)
     lines = []
     for tree, model in itertools.product(
-        (guide, build_bisection(g, 1)), (CascadeModel.scm(), CascadeModel.icm(0.1))
+        (guide, build_bisection(g, 1)), (CascadeModel("scm"), CascadeModel("icm", p=0.1))
     ):
         cfg = OracleConfig(30, 4)
         for r in (dpim(g, tree, model, 4, cfg), mpa(g, tree, model, 4, cfg, max_outer=2)):
@@ -468,7 +468,7 @@ _MIDSIZE_PIN = "e94b41649fd742516c37ad423bd5162bdabeddd531ba588898dfd574b8f70a25
 
 _SMALL = gen_gnm(8, 12, seed=4)
 _SMALL_TREE = build_bisection(_SMALL, 1)
-_ICM, _CFG = CascadeModel.icm(0.3), OracleConfig(20, 1)
+_ICM, _CFG = CascadeModel("icm", p=0.3), OracleConfig(20, 1)
 
 # Every count the API takes: (a valid value, the call with that count set to v).
 _COUNTS = {
@@ -484,7 +484,6 @@ _COUNTS = {
     "mpa.k": (2, lambda v: mpa(_SMALL, _SMALL_TREE, _ICM, v, _CFG, max_outer=1)),
     "mpa.max_outer": (2, lambda v: mpa(_SMALL, _SMALL_TREE, _ICM, 2, _CFG, max_outer=v)),
     "brute_force.k": (2, lambda v: brute_force(_SMALL, _ICM, v, _CFG)),
-    "ExactOracle.budget": (50, lambda v: ExactOracle(_SMALL, _ICM, budget=v).budget),
     "OracleConfig.reps": (2, lambda v: OracleConfig(v, 1)),
 }
 

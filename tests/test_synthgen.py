@@ -121,9 +121,9 @@ def test_worstcase_centers_and_degrees():
     inst = gen_worstcase(n)
     g = inst.graph
     c1, c2 = n, n + n * n + 1
-    assert g.degree(c1) == n * n
-    assert g.degree(c2) == n * n
-    assert all(g.degree(v) == n - 1 for v in range(n))
+    assert g.degrees[c1] == n * n
+    assert g.degrees[c2] == n * n
+    assert all(g.degrees[v] == n - 1 for v in range(n))
 
 
 def test_worstcase_truth_tree_splits_clique_from_stars():
@@ -153,4 +153,4 @@ def test_worstcase_size_formula():
 
 def test_worstcase_model_matches_size():
     inst = gen_worstcase(20)
-    assert inst.model == CascadeModel.twostep(1 / 400)
+    assert inst.model == CascadeModel("twostep", eps=1 / 400)
