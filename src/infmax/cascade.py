@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .graph import _seed_key
+from .graph import _bitmasks, _seed_key
 from ._rng import DOMAIN_CRN, DOMAIN_INDEPENDENT, _integer, generator, seeds_digest
 
 CRN = "CRN"
@@ -711,7 +711,7 @@ class ExactOracle:
 def _exact_structure(graph, model: CascadeModel) -> tuple:
     """(f(1, 1), comps): comps[ci] is component ci's core, as (column, neighbor
     mask, degree, f table) in column order, and each hub's (column, pendants
-    mask).  Each mask is set in a bytearray: O(entries + nc / 8) on nc vertices."""
+    mask).  The masks take O(entries + nc / 8) on nc vertices (graph._bitmasks)."""
     by_degree = {d: model.f_table(d).tolist() for d in set(graph.degrees.tolist())}
     index, comps = graph._component_index(), []
     for indptr, indices, degrees in zip(index.indptr, index.indices, index.degrees):
@@ -719,12 +719,8 @@ def _exact_structure(graph, model: CascadeModel) -> tuple:
         core, leaves = [], []
         for v, d in enumerate(degs):
             (leaves if d == 1 and degs[cols[bounds[v]]] > 1 else core).append(v)
-        size, masks = len(bounds) // 8 + 1, []
-        for group in itertools.chain((cols[bounds[v] : bounds[v + 1]] for v in core), [leaves]):
-            buf = bytearray(size)
-            for c in group:
-                buf[c >> 3] |= 1 << (c & 7)
-            masks.append(int.from_bytes(buf, "little"))
+        rows = (cols[bounds[v] : bounds[v + 1]] for v in core)
+        masks = _bitmasks(itertools.chain(rows, [leaves]), len(degs))
         pendants = masks.pop()
         pend = tuple((v, mask & pendants) for v, mask in zip(core, masks) if mask & pendants)
         comps.append(([(v, mask, degs[v], by_degree[degs[v]]) for v, mask in zip(core, masks)], pend))

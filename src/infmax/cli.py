@@ -73,8 +73,8 @@ def _require_seed(args) -> None:
         raise _UsageError("--seed is required for stochastic commands")
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A usage error: main maps it, like every other ValueError, to exit 2."""
 
 
 def _oracle_config(args):
@@ -320,14 +320,14 @@ _BENCH_STATE: dict = {}
 def _bench_row(task):
     algo, spec, k, trial, row_seed = task
     state = _BENCH_STATE
-    model = state["models"][spec]
-    cfg = OracleConfig(state["reps"], row_seed)
+    config, model = state["config"], state["models"][spec]
+    cfg = OracleConfig(config.reps, row_seed)
     t0 = time.perf_counter()
     result = _run_algorithm(
-        algo, state["graph"], state["trees"][trial], model, k, cfg, state["max_outer"]
+        algo, state["graph"], state["trees"][trial], model, k, cfg, config.max_outer
     )
     elapsed = time.perf_counter() - t0
-    stamp = f"{elapsed:.3f}" if state["timing"] == "wall" else "0.000"
+    stamp = f"{elapsed:.3f}" if config.timing == "wall" else "0.000"
     est = result.sigma
     return [
         algo, model.spec, str(k), str(trial),
@@ -352,26 +352,16 @@ def run_bench(config: BenchConfig, workers: int = 1) -> None:
     trees = _build_trial_trees(config, graph, truth)
     models = {spec: parse_model(spec) for spec in config.cascades}
 
-    tasks = []
-    for algo in config.algorithms:
-        for ci, spec in enumerate(config.cascades):
-            for k in config.ks:
-                for trial in range(config.trials):
-                    row_seed = mix64(
-                        DOMAIN_BENCH_ROW, config.master_seed,
-                        _ALGO_CODE[algo], ci, k, trial,
-                    )
-                    tasks.append((algo, spec, k, trial, row_seed))
+    tasks = [
+        (algo, spec, k, trial, mix64(DOMAIN_BENCH_ROW, config.master_seed, _ALGO_CODE[algo], ci, k, trial))
+        for algo in config.algorithms
+        for ci, spec in enumerate(config.cascades)
+        for k in config.ks
+        for trial in range(config.trials)
+    ]
 
     global _BENCH_STATE
-    _BENCH_STATE = {
-        "graph": graph,
-        "trees": trees,
-        "models": models,
-        "reps": config.reps,
-        "max_outer": config.max_outer,
-        "timing": config.timing,
-    }
+    _BENCH_STATE = {"config": config, "graph": graph, "trees": trees, "models": models}
     try:
         if workers > 1 and hasattr(os, "fork"):
             ctx = multiprocessing.get_context("fork")
@@ -486,9 +476,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FormatError, ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ConsistencyError, FormatError
-from .graph import _open_text, _parse_int, _write_atomic
+from .graph import _bitmasks, _open_text, _parse_int, _write_atomic
 from ._rng import (
     DOMAIN_TREE_BISECTION,
     DOMAIN_TREE_RANDOM_EDGE,
@@ -298,74 +298,45 @@ def build_jaccard(graph) -> HierarchyTree:
     if n > _JACCARD_MAX_N:
         raise CapacityError(f"jaccard builder limited to n <= {_JACCARD_MAX_N}, got {n}")
     asm = _Agglomerator(n)
-
-    gamma = []
-    for v in range(n):
-        mask = 0
-        for u in graph.neighbors(v):
-            mask |= 1 << int(u)
-        gamma.append(mask)
+    ptr, nbr = graph.csr().indptr.tolist(), graph.csr().indices
+    gamma = _bitmasks((nbr[ptr[v] : ptr[v + 1]].tolist() for v in range(n)), n)
     pops = [m.bit_count() for m in gamma]
     minid = list(range(n))
-    node = list(range(n))
     alive = set(range(n))
+    # best[i] is i's least candidate among the other alive clusters.  Alive
+    # clusters have distinct smallest members, so distinct partners have
+    # distinct tie keys, and min keeps the first minimum in iteration order.
+    best: dict[int, tuple | None] = {}
 
-    def score(i, j):
+    def candidate(i, j):
+        """(-score, (smaller min id, larger min id), j) for clusters i and j."""
         inter = (gamma[i] & gamma[j]).bit_count()
         union = pops[i] + pops[j] - inter
-        return inter / union if union else 0.0
-
-    def pair_key(i, j):
         a, b = minid[i], minid[j]
-        return (min(a, b), max(a, b))
-
-    # best[i] = (score, tie key, partner) among currently alive partitions
-    best: dict[int, tuple] = {}
+        return (-(inter / union if union else 0.0), (a, b) if a < b else (b, a), j)
 
     def rescan(i):
-        top = None
-        for j in alive:
-            if j == i:
-                continue
-            cand = (-score(i, j), pair_key(i, j), j)
-            if top is None or cand < top:
-                top = cand
-        best[i] = top
+        best[i] = min((candidate(i, j) for j in alive if j != i), default=None)
 
     for i in alive:
         rescan(i)
-
     while len(alive) > 1:
-        pick = None
-        pick_i = -1
-        for i in alive:
-            cand = best[i]
-            if pick is None or cand[:2] < pick[:2]:
-                pick, pick_i = cand, i
-        a, b = pick_i, pick[2]
-        merged = len(gamma)
+        a = min(alive, key=lambda i: best[i][:2])
+        b = best[a][2]
+        merged = asm.merge(a, b)  # cluster i is tree node i
         gamma.append(gamma[a] | gamma[b])
         pops.append(gamma[merged].bit_count())
         minid.append(min(minid[a], minid[b]))
-        node.append(asm.merge(node[a], node[b]))
-        alive.discard(a)
-        alive.discard(b)
-        best.pop(a, None)
-        best.pop(b, None)
+        alive -= {a, b}
         alive.add(merged)
-        if len(alive) == 1:
-            break
         rescan(merged)
-        stale = (a, b)
         for i in alive:
             if i == merged:
                 continue
-            if best[i][2] in stale:
+            if best[i][2] in (a, b):
                 rescan(i)
             else:
-                cand = (-score(i, merged), pair_key(i, merged), merged)
-                if cand < best[i]:
-                    best[i] = cand
+                best[i] = min(best[i], candidate(i, merged))
     return asm.tree()
 
 

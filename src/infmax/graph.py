@@ -220,10 +220,24 @@ def _seed_key(seeds, n: int) -> _SeedKey:
     return key
 
 
+def _bitmasks(groups, width: int) -> list[int]:
+    """Each group of Python ints in [0, width) as an int with those bits set.
+    The bits are set in a bytearray: O(len(group) + width / 8) per group."""
+    size, masks = width // 8 + 1, []
+    for group in groups:
+        buf = bytearray(size)
+        for c in group:
+            buf[c >> 3] |= 1 << (c & 7)
+        masks.append(int.from_bytes(buf, "little"))
+    return masks
+
+
 def _write_atomic(path, lines) -> None:
-    """Stream lines to path through a temporary file, removed if the write or the replace fails."""
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w")
+    """Stream lines to path through a temporary file, removed if the write or the replace fails.
+    Its name is fresh and opened exclusively, so no other file is overwritten,
+    and it has open()'s usual mode (not mkstemp's 0600), which path keeps."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x")
     try:
         with fh:
             fh.writelines(lines)

@@ -7,6 +7,7 @@ which greedy seed selection provably loses a Theta(sqrt(N)) factor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .cascade import CascadeModel
@@ -22,10 +23,10 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
     Each of the 2^d leaves launches t random walks on the guide tree.  A
     walk leaves along an incident edge chosen with probability proportional
     to its weight (never the edge it arrived on; uniform if all candidate
-    weights are zero) and stops at the first leaf it reaches.  Walks that
-    return to their origin or duplicate an earlier target of the same
-    origin are redrawn, so every vertex gains exactly t distinct neighbors
-    before the directed edges are merged into a simple undirected graph.
+    weights are zero) and stops at the first leaf it reaches, which is never
+    its origin.  Walks that duplicate an earlier target of the same origin
+    are redrawn, so every vertex gains exactly t distinct neighbors before
+    the directed edges are merged into a simple undirected graph.
     If zero-weight edges leave a vertex with fewer than t reachable
     targets, the redraw cap trips and a CapacityError is raised.
 
@@ -57,9 +58,7 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
         for _ in range(_REDRAW_CAP):
             if len(targets) == t:
                 break
-            terminal = _walk(v + first, first, count, weights, rng)
-            if terminal >= 0 and terminal != v and terminal not in targets:
-                targets.add(terminal)
+            targets.add(_walk(v + first, first, count, weights, rng))
         if len(targets) < t:
             raise CapacityError(
                 f"vertex {v} cannot reach {t} distinct walk targets; "
@@ -71,16 +70,17 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
     return Graph(n, edges), HierarchyTree(parents, [-1] * first + list(range(n)))
 
 
-_WALK_STEP_CAP = 10**6
 _REDRAW_CAP = 10**6
 
 
 def _walk(start: int, first: int, count: int, weights: list[int], rng) -> int:
-    """One guide-tree walk; returns the terminal leaf's vertex id, or -1
-    if the step cap was hit (caller restarts)."""
+    """One guide-tree walk from leaf node start; returns the vertex id of the
+    first other leaf it reaches.  It never takes back the edge it arrived
+    on, so on a tree it visits no node twice, and on the depth-d guide tree
+    it stops within 2d steps."""
     cur = start
     arrival = -1
-    for _ in range(_WALK_STEP_CAP):
+    while True:
         cands = []
         if cur > 0 and cur != arrival:
             cands.append(cur)  # edge up to the parent, indexed by the child
@@ -104,7 +104,6 @@ def _walk(start: int, first: int, count: int, weights: list[int], rng) -> int:
         arrival = pick
         if cur >= first:
             return cur - first
-    return -1
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,7 @@ def gen_worstcase(n: int) -> WorstCaseInstance:
     star1 = [c1] + list(range(n + 1, n + n * n + 1))
     c2 = n + n * n + 1
     star2 = [c2] + list(range(c2 + 1, c2 + n * n + 1))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j))
+    edges = list(itertools.combinations(clique, 2))
     edges.extend((c1, leaf) for leaf in star1[1:])
     edges.extend((c2, leaf) for leaf in star2[1:])
     graph = Graph(2 * n * n + n + 2, edges)

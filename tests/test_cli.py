@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import infmax
-from infmax import FormatError, Graph, load_edge_list, parse_bench_config, read_tree
+from infmax import (
+    ConsistencyError,
+    FormatError,
+    Graph,
+    gen_hierarchical,
+    load_edge_list,
+    parse_bench_config,
+    read_tree,
+    write_tree,
+)
 from infmax.cli import _build_parser, _read_seed_file, main
 
 
@@ -40,6 +49,19 @@ def test_gen_gnm_writes_graph(tmp_path):
     assert run("gen-gnm", "--n", 9, "--m", 14, "--seed", 2, "--out", out) == 0
     g = load_edge_list(out)
     assert (g.n, g.m) == (9, 14)
+
+
+def test_write_leaves_a_file_named_like_its_temp_file_alone(tmp_path):
+    # the temporary file gets a fresh name, and the output open()'s usual mode
+    notes = tmp_path / "g.txt.tmp"
+    notes.write_text("my notes")
+    out = tmp_path / "g.txt"
+    assert run("gen-gnm", "--n", 10, "--m", 5, "--seed", 1, "--out", out) == 0
+    assert notes.read_text() == "my notes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "g.txt.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
@@ -562,6 +584,65 @@ def test_bench_graph_source_errors(tmp_path, graph, message):
     _write_config(cfg, graph=graph)
     with pytest.raises(FormatError, match=message):
         infmax.run_bench(parse_bench_config(cfg))
+
+
+@pytest.mark.parametrize(
+    "over, extra, message",
+    [
+        ({}, "just words\n", r":10: expected 'key = value'"),
+        ({}, "reps = 5\n", r":10: duplicate key 'reps'"),
+        ({"reps": "0"}, "", r"key 'reps' must be >= 1"),
+        ({"trials": "0"}, "", r"key 'trials' must be >= 1"),
+        ({"max_outer": "-1"}, "", r"key 'max_outer' must be >= 0"),
+        ({"algorithms": "greedy, magic"}, "", r"unknown algorithm 'magic'"),
+        ({"algorithms": " , "}, "", r"algorithms list is empty"),
+        ({"cascade": " ; "}, "", r"cascade list is empty"),
+        ({"k": "1, -2"}, "", r"key 'k' must list nonnegative integers"),
+        ({"k": ","}, "", r"key 'k' must list nonnegative integers"),
+        ({"timing": "cpu"}, "", r"timing must be 'none' or 'wall'"),
+    ],
+    ids=[
+        "no-equals", "duplicate", "reps", "trials", "max-outer", "algorithm",
+        "no-algorithms", "no-cascades", "negative-k", "no-k", "timing",
+    ],
+)
+def test_bench_config_refusals(tmp_path, capsys, over, extra, message):
+    cfg = tmp_path / "bench.cfg"
+    out = _write_config(cfg, **over)
+    cfg.write_text(cfg.read_text() + extra)
+    with pytest.raises(FormatError, match=message):
+        parse_bench_config(cfg)
+    assert run("bench", "--config", cfg) == 3
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_bench_truth_tree_needs_a_generated_truth(tmp_path, capsys):
+    cfg = tmp_path / "bench.cfg"
+    out = _write_config(cfg, tree="truth")
+    message = "tree 'truth' needs a hier: or worstcase: graph"
+    with pytest.raises(ConsistencyError, match=message):
+        infmax.run_bench(parse_bench_config(cfg))
+    assert run("bench", "--config", cfg) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_file_sources_match_generated_ones(tmp_path):
+    # a hier: source with its truth tree writes the bytes that the same graph
+    # and tree write when the config names them as files
+    graph, tree = gen_hierarchical(3, 4, 2, 5)
+    graph.write(tmp_path / "g.txt")
+    write_tree(tree, tmp_path / "t.tree")
+    cfg = tmp_path / "bench.cfg"
+    rows = {}
+    for source, tree_source in (("hier:d=3,l=4,t=2,seed=5", "truth"), (tmp_path / "g.txt", tmp_path / "t.tree")):
+        out = _write_config(cfg, graph=source, tree=tree_source, trials="1")
+        assert run("bench", "--config", cfg) == 0
+        rows[source] = out.read_bytes()
+    generated, from_files = rows.values()
+    assert generated == from_files
+    assert len(generated.decode().splitlines()) == 1 + 2 * 1 * 2 * 1
 
 
 # ---------------------------------------------------------------- integers in files

@@ -562,6 +562,38 @@ def test_structural_validation():
         HierarchyTree(np.array([1, 0, 1]), np.array([-1, 0, 1]))
 
 
+@pytest.mark.parametrize("parents, leaf_vertex, message", [
+    ([-1, 0, 0], [-1, 0], "lengths differ"),
+    ([-1, 0, 5], [-1, 0, 1], "parent id out of range"),
+    ([-1, 1, 0], [-1, 0, 1], "cannot be its own parent"),
+    ([-1, 0, 0, 0, 1], [-1, -1, 0, 1, 2], "exactly two children"),
+    ([-1, 0, 0], [0, 0, 1], "exactly on childless nodes"),
+    # 3 and 4 are each other's parent, each with a leaf beside the other
+    ([-1, 0, 0, 4, 3, 3, 4], [-1, 0, 1, -1, -1, 2, 3], "disconnected from the root"),
+])
+def test_each_tree_refusal_is_reached(parents, leaf_vertex, message):
+    with pytest.raises(FormatError, match=message):
+        HierarchyTree(parents, leaf_vertex)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 -1 -1\n1 0\n2 0 1\n", r":3: expected three tokens"),
+    ("0 -1 -1\n1 0 0\n3 0 1\n", r":4: node id 3 out of range"),
+    ("-1 -1 -1\n1 0 0\n2 0 1\n", r":2: node id -1 out of range"),
+])
+def test_read_rejects_bad_node_lines(tmp_path, body, message):
+    p = tmp_path / "t.tree"
+    p.write_text("hier v1 2\n" + body)
+    with pytest.raises(FormatError, match=message):
+        read_tree(p)
+
+
+def test_nested_spec_must_use_pairs():
+    for spec in ((0, 1, 2), ((0, 1), (2,)), ()):
+        with pytest.raises(ValueError, match="must use pairs"):
+            tree_from_nested(spec)
+
+
 def test_tree_ids_must_be_integers():
     # an int64 cast would read 0.5 as 0 and 1.9 as 1: a valid tree
     bad = [
