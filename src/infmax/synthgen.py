@@ -8,6 +8,7 @@ which greedy seed selection provably loses a Theta(sqrt(N)) factor.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cascade import CascadeModel
@@ -30,6 +31,10 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
     If zero-weight edges leave a vertex with fewer than t reachable
     targets, the redraw cap trips and a CapacityError is raised.
 
+    The stream of (DOMAIN_HIER, seed) gives the weights, then one uniform
+    per weighted walk step and one rng.integers per all-zero step, in vertex
+    and walk order; _walk_edges reads it in chunks, to the same values.
+
     Returns the graph and the guide tree's shape as the ground-truth
     decomposition.
     """
@@ -48,8 +53,44 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
     # and leaf first + v stands for vertex v.  weights[i] is the weight of
     # the edge joining node i to its parent.
     weights = [0] + rng.binomial(l, 0.5, size=count - 1).tolist()
+    parents = [-1] + [(i - 1) // 2 for i in range(1, count)]
+    return Graph(n, _walk_edges(n, t, weights, rng)), HierarchyTree(parents, [-1] * first + list(range(n)))
 
-    edges: set[tuple[int, int]] = set()
+
+_REDRAW_CAP = 10**6
+# The most uniforms one rng.random call of _walk_edges draws.
+_CHUNK = 1024
+
+
+def _walk_edges(n: int, t: int, weights: list[int], rng) -> set[tuple[int, int]]:
+    """The edges (v, u), v < u, of t distinct walk targets per leaf.
+
+    A walk state is node + count * slot, slot naming the edge it arrived on
+    (0, 1: the left, right child; 2: the parent).  It starts at its leaf in
+    slot 0 and, never going back, ends within 2d steps.  moves[state] holds
+    each candidate edge's next state, their cumulative weights and the total.
+
+    The stream is read as one scalar rng.random() per weighted step reads it:
+    uniforms come from chunks of rng.random(size), the same doubles.  An
+    all-zero step calls rng.integers(len(candidates)) (for one candidate that
+    is 0 and draws nothing).  Before the call, the state saved before the
+    chunk is restored and the pos uniforms used are drawn again, so integers
+    sees the scalar walk's stream and uint32 buffer; the next weighted step
+    starts a new chunk.  Chunk sizes double from 8 up to _CHUNK.
+    """
+    first, count = n - 1, 2 * n - 1
+    moves = []
+    for slot, node in itertools.product(range(3), range(count)):
+        arrival = (2 * node + 1, 2 * node + 2, node)[slot]
+        out = [((node - 1) // 2 + count * (1 - node % 2), node)] if node else []
+        out += [(c + 2 * count, c) for c in (2 * node + 1, 2 * node + 2) if c < count]
+        cands = [(nxt, edge) for nxt, edge in out if edge != arrival]
+        cum = list(itertools.accumulate(weights[edge] for _, edge in cands))
+        moves.append(([nxt for nxt, _ in cands], cum, cum[-1] if cum else 0))
+    stop = 2 * count + first  # states from here on are leaves reached from above
+    bits = rng.bit_generator
+    saved, chunk, pos, size = None, [], 4, 4  # pos == size: chunk used up
+    edges = set()
     for v in range(n):
         targets: set[int] = set()
         # Zero-weight edges can make part of the leaf set unreachable, so a
@@ -58,52 +99,32 @@ def gen_hierarchical(d: int, l: int, t: int, seed: int) -> tuple[Graph, Hierarch
         for _ in range(_REDRAW_CAP):
             if len(targets) == t:
                 break
-            targets.add(_walk(v + first, first, count, weights, rng))
+            state = first + v
+            while state < stop:
+                nxt, cum, total = moves[state]
+                if total:
+                    if pos == size:
+                        size = min(2 * size, _CHUNK)
+                        saved, chunk, pos = bits.state, rng.random(size).tolist(), 0
+                    # u < 1, so u * total < total and bisect stays in range
+                    state = nxt[bisect_right(cum, chunk[pos] * total)]
+                    pos += 1
+                elif len(nxt) == 1:
+                    state = nxt[0]
+                else:
+                    if chunk:
+                        bits.state = saved
+                        rng.random(pos)
+                    state = nxt[int(rng.integers(len(nxt)))]
+                    chunk, pos, size = [], 4, 4
+            targets.add(state - stop)
         if len(targets) < t:
             raise CapacityError(
                 f"vertex {v} cannot reach {t} distinct walk targets; "
                 "zero-weight guide edges cut off too much of the tree"
             )
-        for u in targets:
-            edges.add((min(v, u), max(v, u)))
-    parents = [-1] + [(i - 1) // 2 for i in range(1, count)]
-    return Graph(n, edges), HierarchyTree(parents, [-1] * first + list(range(n)))
-
-
-_REDRAW_CAP = 10**6
-
-
-def _walk(start: int, first: int, count: int, weights: list[int], rng) -> int:
-    """One guide-tree walk from leaf node start; returns the vertex id of the
-    first other leaf it reaches.  It never takes back the edge it arrived
-    on, so on a tree it visits no node twice, and on the depth-d guide tree
-    it stops within 2d steps."""
-    cur = start
-    arrival = -1
-    while True:
-        cands = []
-        if cur > 0 and cur != arrival:
-            cands.append(cur)  # edge up to the parent, indexed by the child
-        child = 2 * cur + 1
-        if child < count:
-            if child != arrival:
-                cands.append(child)
-            if child + 1 != arrival:
-                cands.append(child + 1)
-        total = sum(weights[c] for c in cands)
-        if total == 0:
-            pick = cands[int(rng.integers(len(cands)))]
-        else:
-            r = rng.random() * total
-            acc = 0
-            for pick in cands:
-                acc += weights[pick]
-                if r < acc:
-                    break
-        cur = (cur - 1) // 2 if pick == cur else pick
-        arrival = pick
-        if cur >= first:
-            return cur - first
+        edges.update((min(v, u), max(v, u)) for u in targets)
+    return edges
 
 
 @dataclass(frozen=True)

@@ -876,6 +876,35 @@ def test_mc_stderr_formula():
     assert est.stderr == pytest.approx(totals.std(ddof=1) / math.sqrt(1000))
 
 
+@pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
+@pytest.mark.parametrize("reps", [1, 2, 100, 8193])
+def test_batch_answers_match_per_set_formula(monkeypatch, mode, reps):
+    # a batch reduces all its sets at once; each answer must carry the exact
+    # bytes of its own _totals row's mean and std (one component, so a set's
+    # row is the kernel's row)
+    rows = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        rows.extend(out.copy())
+        return out
+
+    real = cascade._totals
+    monkeypatch.setattr(cascade, "_totals", spy)
+    g = Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)])
+    oracle = MonteCarloOracle(g, CascadeModel("icm", p=0.3), OracleConfig(reps, 4, mode))
+    sets = [[0], [1, 5], [2, 7, 9], [4, 11]]
+    answers = oracle.sigma_many(sets)
+    assert len(rows) == len(sets)
+    for est, row in zip(answers, rows):
+        assert est.mean == float(row.mean())
+        if reps == 1:
+            assert est.stderr == 0.0
+        else:
+            assert est.stderr == float(row.std(ddof=1) / math.sqrt(reps))
+        assert est.reps == reps
+
+
 def test_mc_single_rep_has_zero_stderr():
     g = Graph(2, [(0, 1)])
     est = sigma_mc(g, CascadeModel("icm", p=0.3), [0], OracleConfig(1, 9))

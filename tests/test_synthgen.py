@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from infmax import (
     gen_worstcase,
     sigma_exact,
 )
+from infmax import synthgen
+from infmax._rng import DOMAIN_HIER, generator
 from tree_helpers import leaf_set
 
 
@@ -72,6 +75,79 @@ def test_hierarchical_pinned():
             h.update(np.array(edges, dtype=np.int64).tobytes())
         got[args] = h.hexdigest()
     assert got == _HIERARCHICAL_PINS
+
+
+def _scalar_walk(start, first, count, weights, rng, zero_steps):
+    """One walk drawn one scalar at a time, as gen_hierarchical drew it
+    before chunked uniforms; counts the all-zero steps with a choice."""
+    cur = start
+    arrival = -1
+    while True:
+        cands = []
+        if cur > 0 and cur != arrival:
+            cands.append(cur)
+        child = 2 * cur + 1
+        if child < count:
+            if child != arrival:
+                cands.append(child)
+            if child + 1 != arrival:
+                cands.append(child + 1)
+        total = sum(weights[c] for c in cands)
+        if total == 0:
+            zero_steps[0] += len(cands) > 1
+            pick = cands[int(rng.integers(len(cands)))]
+        else:
+            r = rng.random() * total
+            acc = 0
+            for pick in cands:
+                acc += weights[pick]
+                if r < acc:
+                    break
+        cur = (cur - 1) // 2 if pick == cur else pick
+        arrival = pick
+        if cur >= first:
+            return cur - first
+
+
+def _scalar_edges(d, l, t, seed, cap, zero_steps):
+    """gen_hierarchical's sorted edges from scalar draws, or "capacity"."""
+    n = 2**d
+    count, first = 2 * n - 1, n - 1
+    rng = generator(DOMAIN_HIER, seed)
+    weights = [0] + rng.binomial(l, 0.5, size=count - 1).tolist()
+    edges = set()
+    for v in range(n):
+        targets = set()
+        for _ in range(cap):
+            if len(targets) == t:
+                break
+            targets.add(_scalar_walk(v + first, first, count, weights, rng, zero_steps))
+        if len(targets) < t:
+            return "capacity"
+        edges.update((min(v, u), max(v, u)) for u in targets)
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, synthgen._CHUNK])
+def test_chunked_stream_matches_scalar_walks(monkeypatch, chunk):
+    # chunks of 1, 2 and 3 uniforms end at every step offset, so each
+    # all-zero step replays a partly used chunk somewhere in the grid; low
+    # weights take that branch often and starve some vertices
+    cap = 200
+    monkeypatch.setattr(synthgen, "_REDRAW_CAP", cap)
+    monkeypatch.setattr(synthgen, "_CHUNK", chunk)
+    zero_steps, outcomes = [0], set()
+    for d, l, t, seed in itertools.product(range(1, 6), (1, 2, 3), (1, 2, 3), range(4)):
+        if t > 2**d - 1:
+            continue
+        want = _scalar_edges(d, l, t, seed, cap, zero_steps)
+        try:
+            got = sorted(map(tuple, gen_hierarchical(d, l, t, seed)[0].edge_array.tolist()))
+        except CapacityError:
+            got = "capacity"
+        assert got == want, (d, l, t, seed)
+        outcomes.add(want == "capacity")
+    assert zero_steps[0] > 100 and outcomes == {True, False}
 
 
 def test_simple_undirected_output():
