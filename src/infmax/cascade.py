@@ -540,26 +540,22 @@ class MonteCarloOracle:
                     if len(self._memo) >= self._MEMO_LIMIT:
                         self._memo.clear()
                     self._memo[(ci, cols)] = known[(ci, cols)] = totals
-        if not keys:
-            return []
-        totals = np.zeros((len(keys), reps), dtype=np.int64)
-        for row, key, pairs in zip(totals, keys, groups):
+        answers = []
+        for key, pairs in zip(keys, groups):
+            totals = np.zeros(reps, dtype=np.int64)
             if crn:
                 for pair in pairs:
-                    row += known[pair]
+                    totals += known[pair]
             else:
                 rng = generator(DOMAIN_INDEPENDENT, self.cfg.master_seed, seeds_digest(key))
                 theta = _draw_thresholds(rng, (reps, self.graph.n))
                 for ci, cols in pairs:
-                    row += run(ci, self._classes(ci, theta), [cols])[0]
-        # One reduction per batch; each row gets the bytes of its own reduction.
-        means = totals.mean(axis=1).tolist()
-        stderrs = totals.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(keys))
-        answers = [SigmaEstimate(mean, stderr, reps) for mean, stderr in zip(means, stderrs.tolist())]
-        for key, est in zip(keys, answers):
+                    totals += run(ci, self._classes(ci, theta), [cols])[0]
+            stderr = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+            answers.append(SigmaEstimate(float(totals.mean()), stderr, reps))
             if len(self._answers) >= self._MEMO_LIMIT:
                 self._answers.clear()
-            self._answers[key] = est
+            self._answers[key] = answers[-1]
         return answers
 
 

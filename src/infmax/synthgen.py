@@ -8,7 +8,6 @@ which greedy seed selection provably loses a Theta(sqrt(N)) factor.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .cascade import CascadeModel
@@ -66,30 +65,40 @@ def _walk_edges(n: int, t: int, weights: list[int], rng) -> set[tuple[int, int]]
     """The edges (v, u), v < u, of t distinct walk targets per leaf.
 
     A walk state is node + count * slot, slot naming the edge it arrived on
-    (0, 1: the left, right child; 2: the parent).  It starts at its leaf in
-    slot 0 and, never going back, ends within 2d steps.  moves[state] holds
-    each candidate edge's next state, their cumulative weights and the total.
+    (0, 1: from the left, right child; 2: from the parent).  It starts at its
+    leaf in slot 0 and, never going back, ends within 2d steps at a leaf
+    reached from above, a state from stop on.  A walk has at most two
+    candidate edges, so moves[state] is (a, b, cut, total): the next state
+    over each, in the order parent, left, right; the first one's weight; and
+    their sum.  A state with one candidate has a == b.  Only states a walk
+    can step from get an entry.
 
     The stream is read as one scalar rng.random() per weighted step reads it:
     uniforms come from chunks of rng.random(size), the same doubles.  An
-    all-zero step calls rng.integers(len(candidates)) (for one candidate that
-    is 0 and draws nothing).  Before the call, the state saved before the
-    chunk is restored and the pos uniforms used are drawn again, so integers
-    sees the scalar walk's stream and uint32 buffer; the next weighted step
-    starts a new chunk.  Chunk sizes double from 8 up to _CHUNK.
+    all-zero step with two candidates calls rng.integers(2); with one it
+    takes it, as rng.integers(1) is 0 and draws nothing.  Before the call,
+    the state saved before the chunk is restored and the pos uniforms used
+    are drawn again, so integers sees the scalar walk's stream and uint32
+    buffer; the next weighted step starts a new chunk.  Chunk sizes double
+    from 8 up to _CHUNK, so a walk that keeps meeting all-zero steps throws
+    few uniforms away.
     """
     first, count = n - 1, 2 * n - 1
-    moves = []
-    for slot, node in itertools.product(range(3), range(count)):
-        arrival = (2 * node + 1, 2 * node + 2, node)[slot]
-        out = [((node - 1) // 2 + count * (1 - node % 2), node)] if node else []
-        out += [(c + 2 * count, c) for c in (2 * node + 1, 2 * node + 2) if c < count]
-        cands = [(nxt, edge) for nxt, edge in out if edge != arrival]
-        cum = list(itertools.accumulate(weights[edge] for _, edge in cands))
-        moves.append(([nxt for nxt, _ in cands], cum, cum[-1] if cum else 0))
-    stop = 2 * count + first  # states from here on are leaves reached from above
+    moves = [None] * (3 * count)
+    for node in range(count):
+        up = (node - 1) // 2 + count * (1 - node % 2)
+        if node >= first:  # a leaf: its walks start here and go up
+            moves[node] = (up, up, weights[node], weights[node])
+            continue
+        left, right = 2 * node + 1, 2 * node + 2
+        w, wl, wr = weights[node], weights[left], weights[right]
+        dl, dr = left + 2 * count, right + 2 * count
+        moves[node] = (up, dr, w, w + wr) if node else (dr, dr, wr, wr)
+        moves[node + count] = (up, dl, w, w + wl) if node else (dl, dl, wl, wl)
+        moves[node + 2 * count] = (dl, dr, wl, wl + wr)
+    stop = 2 * count + first
     bits = rng.bit_generator
-    saved, chunk, pos, size = None, [], 4, 4  # pos == size: chunk used up
+    saved, chunk, pos = None, [], 0
     edges = set()
     for v in range(n):
         targets: set[int] = set()
@@ -101,22 +110,23 @@ def _walk_edges(n: int, t: int, weights: list[int], rng) -> set[tuple[int, int]]
                 break
             state = first + v
             while state < stop:
-                nxt, cum, total = moves[state]
+                a, b, cut, total = moves[state]
                 if total:
-                    if pos == size:
-                        size = min(2 * size, _CHUNK)
-                        saved, chunk, pos = bits.state, rng.random(size).tolist(), 0
-                    # u < 1, so u * total < total and bisect stays in range
-                    state = nxt[bisect_right(cum, chunk[pos] * total)]
+                    if pos == len(chunk):
+                        saved, pos = bits.state, 0
+                        chunk = rng.random(min(max(2 * len(chunk), 8), _CHUNK)).tolist()
+                    # u * total < total, so b is taken exactly when the
+                    # scalar walk's running sum passed a
+                    state = a if chunk[pos] * total < cut else b
                     pos += 1
-                elif len(nxt) == 1:
-                    state = nxt[0]
+                elif a == b:
+                    state = a
                 else:
-                    if chunk:
+                    if pos < len(chunk):  # uniforms read ahead: give them back
                         bits.state = saved
                         rng.random(pos)
-                    state = nxt[int(rng.integers(len(nxt)))]
-                    chunk, pos, size = [], 4, 4
+                    state = (a, b)[int(rng.integers(2))]
+                    chunk, pos = [], 0
             targets.add(state - stop)
         if len(targets) < t:
             raise CapacityError(

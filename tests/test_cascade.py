@@ -879,9 +879,8 @@ def test_mc_stderr_formula():
 @pytest.mark.parametrize("mode", [CRN, INDEPENDENT])
 @pytest.mark.parametrize("reps", [1, 2, 100, 8193])
 def test_batch_answers_match_per_set_formula(monkeypatch, mode, reps):
-    # a batch reduces all its sets at once; each answer must carry the exact
-    # bytes of its own _totals row's mean and std (one component, so a set's
-    # row is the kernel's row)
+    # each answer of a batch must carry the exact bytes of its own _totals
+    # row's mean and std (one component, so a set's row is the kernel's row)
     rows = []
 
     def spy(*args, **kwargs):
