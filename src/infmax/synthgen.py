@@ -65,23 +65,18 @@ def _walk_edges(n: int, t: int, weights: list[int], rng) -> set[tuple[int, int]]
     """The edges (v, u), v < u, of t distinct walk targets per leaf.
 
     A walk state is node + count * slot, slot naming the edge it arrived on
-    (0, 1: from the left, right child; 2: from the parent).  It starts at its
-    leaf in slot 0 and, never going back, ends within 2d steps at a leaf
-    reached from above, a state from stop on.  A walk has at most two
-    candidate edges, so moves[state] is (a, b, cut, total): the next state
-    over each, in the order parent, left, right; the first one's weight; and
-    their sum.  A state with one candidate has a == b.  Only states a walk
-    can step from get an entry.
+    (0, 1: from the left, right child; 2: from the parent).  A walk starts
+    at its leaf in slot 0 and ends at a leaf reached from above, a state
+    from stop on.  It has at most two candidate edges, so moves[state] is
+    (a, b, cut, total): the next state over each (parent, left, right
+    order), the first one's weight and their sum; a == b for one candidate.
 
-    The stream is read as one scalar rng.random() per weighted step reads it:
-    uniforms come from chunks of rng.random(size), the same doubles.  An
-    all-zero step with two candidates calls rng.integers(2); with one it
-    takes it, as rng.integers(1) is 0 and draws nothing.  Before the call,
-    the state saved before the chunk is restored and the pos uniforms used
-    are drawn again, so integers sees the scalar walk's stream and uint32
-    buffer; the next weighted step starts a new chunk.  Chunk sizes double
-    from 8 up to _CHUNK, so a walk that keeps meeting all-zero steps throws
-    few uniforms away.
+    Uniforms come from chunks of rng.random(size), the doubles of one scalar
+    call per weighted step; sizes double from 8 up to _CHUNK.  An all-zero
+    step with two candidates first restores the state saved before the
+    chunk and draws the pos uniforms used again, so rng.integers(2) sees the
+    scalar walk's stream and uint32 buffer; with one candidate it draws
+    nothing, as rng.integers(1) did not.
     """
     first, count = n - 1, 2 * n - 1
     moves = [None] * (3 * count)
@@ -115,8 +110,7 @@ def _walk_edges(n: int, t: int, weights: list[int], rng) -> set[tuple[int, int]]
                     if pos == len(chunk):
                         saved, pos = bits.state, 0
                         chunk = rng.random(min(max(2 * len(chunk), 8), _CHUNK)).tolist()
-                    # u * total < total, so b is taken exactly when the
-                    # scalar walk's running sum passed a
+                    # u * total < total: b exactly when the running sum passed a
                     state = a if chunk[pos] * total < cut else b
                     pos += 1
                 elif a == b:
