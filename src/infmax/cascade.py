@@ -313,13 +313,16 @@ def simulate_cascade(graph, model: CascadeModel, seeds, thresholds) -> set[int]:
 # being the call's sets * reps * nc entries, adds its counts with dense
 # bincounts over slices of about size edge entries; a smaller round sorts
 # only what it touches.  So no push builds edge arrays longer than size plus
-# one vertex's degree.  No benchmark cascade reaches the dense push: the
-# 2,601 later rounds of hierarchical scm greedy, dpim and mpa (seed 1), 191
-# from 150 fresh scm 5-sets there and all G(n, m) icm, dicm and ltm rounds
-# ran sparse; icm:p=0.5 on G(2000, 10^4) took it in 5 of 8.  Round one
-# switches the same way on its touched (set, vertex) pairs: tested alone
-# while under sets * nc / _DENSE_SHARE (G(n, m) seed neighborhoods), else
-# with every entry (hierarchical seed sets: 905 of those 1,289 calls).
+# one vertex's degree.  Counts on the hierarchical benchmark graph
+# (gen_hierarchical(8, 15, 15, 1), bisection tree, scm, 100 reps): at
+# k = 5 the 1,772 later rounds of greedy, dpim and mpa all ran sparse, as
+# did the 191 from 150 fresh scm 5-sets and all G(n, m) icm, dicm and ltm
+# rounds; at k = 20, one-sweep mpa took the dense push in 2,600 of its
+# 26,407 later rounds and dpim in 171 of 2,984.  icm:p=0.5 on G(2000, 10^4)
+# took it in 5 of 8.  Round one switches the same way on its touched (set,
+# vertex) pairs: tested alone while under sets * nc / _DENSE_SHARE (G(n, m)
+# seed neighborhoods), else with every entry (hierarchical seed sets: 615
+# of the 734 calls at k = 5, 2,820 of the one-sweep mpa's 2,866 at k = 20).
 _DENSE_SHARE = 8
 
 # Entries (sets * reps * nc) that one _closure call holds at most, unless a
@@ -516,7 +519,10 @@ class MonteCarloOracle:
         Under CRN the pairs (component, columns) missing from the memo run in
         one _totals call per component, in first-seen order; the batch reads
         every pair's totals from a local map, which a memo clear cannot empty.
-        INDEPENDENT draws differ per set, so each set runs alone.
+        A batch of two or more sets then sums its totals into one (sets, reps)
+        array and reduces it along the repetitions at once, with the bytes of
+        the per-set reduction that a lone set keeps.  INDEPENDENT draws differ
+        per set, so each set runs alone.
         """
         index, reps, crn = self._index, self.cfg.reps, self.cfg.mode == CRN
         groups = [index.split(key) for key in keys]
@@ -540,6 +546,19 @@ class MonteCarloOracle:
                     if len(self._memo) >= self._MEMO_LIMIT:
                         self._memo.clear()
                     self._memo[(ci, cols)] = known[(ci, cols)] = totals
+        if crn and len(keys) > 1:
+            totals = np.zeros((len(keys), reps), dtype=np.int64)
+            for row, pairs in zip(totals, groups):
+                for pair in pairs:
+                    row += known[pair]
+            means = totals.mean(axis=1).tolist()
+            stderrs = (totals.std(axis=1, ddof=1) / math.sqrt(reps)).tolist() if reps > 1 else [0.0] * len(keys)
+            answers = [SigmaEstimate(*est, reps) for est in zip(means, stderrs)]
+            for key, est in zip(keys, answers):
+                if len(self._answers) >= self._MEMO_LIMIT:
+                    self._answers.clear()
+                self._answers[key] = est
+            return answers
         answers = []
         for key, pairs in zip(keys, groups):
             totals = np.zeros(reps, dtype=np.int64)

@@ -203,7 +203,7 @@ class _ComponentIndex:
 
 
 class _SeedKey(frozenset):
-    """A seed set that _seed_key has checked: ints in [0, n)."""
+    """A seed set whose ids _seed_key has checked: ints in [0, n)."""
 
     __slots__ = ()
 
@@ -211,13 +211,20 @@ class _SeedKey(frozenset):
 def _seed_key(seeds, n: int) -> _SeedKey:
     """seeds as a _SeedKey.  Raises ValueError for an id that is not an
     integer (see _integer) or one outside [0, n).  A _SeedKey is returned as
-    it is: only this function makes one, so it has been checked."""
+    it is: only this function and _key_union, which unites checked keys,
+    make one, so it has been checked."""
     if seeds.__class__ is _SeedKey:
         return seeds
     key = _SeedKey(map(_integer, seeds, itertools.repeat("vertex id")))
     if key and (min(key) < 0 or max(key) >= n):
         raise ValueError("seed outside vertex range")
     return key
+
+
+def _key_union(first: _SeedKey, *rest: _SeedKey) -> _SeedKey:
+    """The union of _SeedKeys as a _SeedKey.  It checks no id: each one was
+    checked when the key holding it was made."""
+    return _SeedKey(first.union(*rest))
 
 
 def _bitmasks(groups, width: int) -> list[int]:

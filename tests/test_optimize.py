@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from infmax import (
     mpa,
     tree_from_nested,
 )
-from infmax.optimize import LR, LU, RU, _dp_fill, _make_oracle, _retrieve_seeds, _update
+from infmax import optimize
+from infmax._rng import _integer
+from infmax.graph import _seed_key
+from infmax.optimize import LR, LU, RU, _Sets, _dp_fill, _follow, _make_oracle, _update
 from tree_helpers import leaf_set
 
 
@@ -107,14 +111,23 @@ def _init_advice(graph, tree, model, k, cfg):
     return advice
 
 
+def _sets(tree, advice, k):
+    """A retrieval memo for budgets up to k over advice, holding only the leaves' rows."""
+    return _Sets(tree, advice, k, {
+        leaf: [_seed_key((), 1), _seed_key((tree.leaf_vertex(leaf),), tree.n_leaves)]
+        for leaf in tree.nodes_at_height(0)
+    })
+
+
 def test_init_table_leaf_rows():
     g = Graph(2, [(0, 1)])
     tree = tree_from_nested((0, 1))
     advice = _init_advice(g, tree, CascadeModel("icm", p=0.5), 1, "exact")
     leaf0 = tree.left(tree.root)  # vertex 0
-    assert _retrieve_seeds(tree, advice, leaf0, LR, 0) == frozenset()
-    assert _retrieve_seeds(tree, advice, leaf0, LR, 1) == {0}
-    assert _retrieve_seeds(tree, advice, tree.root, LR, 1) in ({0}, {1})
+    sets = _sets(tree, advice, 1)
+    assert sets.lr_row(leaf0)[0] == frozenset()
+    assert sets.lr_row(leaf0)[1] == {0}
+    assert sets.lr_row(tree.root)[1] in ({0}, {1})
 
 
 def test_init_table_rows_stay_in_subtree():
@@ -124,10 +137,13 @@ def test_init_table_rows_stay_in_subtree():
     tree = build_bisection(g, 1)
     k = 3
     advice = _init_advice(g, tree, CascadeModel("icm", p=0.3), k, "exact")
+    sets = _sets(tree, advice, k)
     for node in range(tree.node_count):
         leaves = leaf_set(tree, node)
+        row = sets.lr_row(node)
+        assert len(row) == min(k, len(leaves)) + 1 or tree.is_leaf(node)
         for i in range(k + 1):
-            chosen = _retrieve_seeds(tree, advice, node, LR, i)
+            chosen = row[min(i, len(row) - 1)]
             assert len(chosen) == min(i, len(leaves))
             assert chosen <= leaves
 
@@ -178,6 +194,8 @@ def test_retrieve_leaf_cases():
     assert _retrieve_seeds(tree, {}, leaf, LR, 2) == {1}
     # outside-facing budget at a leaf has nowhere to go below it
     assert _retrieve_seeds(tree, {}, leaf, LU, 2) == frozenset()
+    # the memo's row of a leaf holds budgets 0 and 1
+    assert _sets(tree, {}, 2).lr_row(leaf) == [frozenset(), {1}]
 
 
 def test_retrieve_follows_table_splits():
@@ -185,15 +203,16 @@ def test_retrieve_follows_table_splits():
     root = tree.root
     internal = tree.left(root) if not tree.is_leaf(tree.left(root)) else tree.right(root)
     advice = {(root, LR, 2): (2, 0) if tree.left(root) == internal else (0, 2), (internal, LR, 2): (1, 1)}
-    assert _retrieve_seeds(tree, advice, root, LR, 2) == {0, 1}
+    assert _sets(tree, advice, 2).lr_row(root)[2] == {0, 1}
 
 
 def test_retrieve_root_up_budget_bypasses():
     # (D, U) at the root pushes the whole budget down: there is no "up"
     tree = tree_from_nested((0, 1))
     left = tree.left(tree.root)
-    got = _retrieve_seeds(tree, {}, tree.root, LU, 1)
-    assert got == _retrieve_seeds(tree, {}, left, LR, 1) == {0}
+    sets = _sets(tree, {}, 1)
+    got = sets.up_row(tree.root, LU, 1)[1]
+    assert got == sets.lr_row(left)[1] == {0}
 
 
 def _caterpillar(n):
@@ -213,13 +232,15 @@ def test_retrieve_deeper_than_recursion_limit():
     assert tree.tree_height == 1499
     # the leaf has the smaller id, so the spine is the right child
     advice = {(node, LR, 1): (0, 1) for node in range(1500, tree.node_count)}
-    assert _retrieve_seeds(tree, advice, tree.root, LR, 1) == {1}
+    assert _sets(tree, advice, 1).lr_row(tree.root)[1] == {1}
 
 
 def test_mpa_deeper_than_recursion_limit():
+    # one sweep as well, so the sweeps' retrievals run past the recursion limit
     path = Graph(1500, [(v, v + 1) for v in range(1499)])
-    res = mpa(path, _caterpillar(1500), CascadeModel("icm", p=0.5), 1, OracleConfig(2, 1), max_outer=0)
-    assert len(res.vertices) == 1
+    for max_outer in (0, 1):
+        res = mpa(path, _caterpillar(1500), CascadeModel("icm", p=0.5), 1, OracleConfig(2, 1), max_outer=max_outer)
+        assert len(res.vertices) == 1
 
 
 # ---------------------------------------------------------------- mpa
@@ -243,9 +264,10 @@ def test_mpa_update_root_row_is_stable():
     tree = build_bisection(g, 2)
     model = CascadeModel("icm", p=0.3)
     oracle = MonteCarloOracle(g, model, OracleConfig(80, 21))
-    advice = _init_advice(g, tree, model, 2, oracle)
+    advice = {}
+    sets = _Sets(tree, advice, 2, _dp_fill(oracle, tree, 2, advice, keep=True))
     before = [advice[tree.root, LR, i] for i in range(3)]
-    _update(oracle, tree, 2, advice, tree.root, LR)
+    _update(oracle, 2, sets, (tree.root,), (LR,))
     after = [advice[tree.root, LR, i] for i in range(3)]
     assert before == after
 
@@ -256,7 +278,7 @@ def test_mpa_update_zero_budget_row():
     model = CascadeModel("icm", p=0.3)
     advice = {}
     node = tree.left(tree.root)
-    _update(_make_oracle(g, model, "exact"), tree, 2, advice, node, LU)
+    _update(_make_oracle(g, model, "exact"), 2, _sets(tree, advice, 2), (node,), (LU,))
     assert advice[node, LU, 0] == (0, 0)
 
 
@@ -266,9 +288,9 @@ def test_mpa_update_worstcase_root_allocates_to_clique():
     tree = inst.truth_tree
     oracle = _make_oracle(inst.graph, inst.model, "exact")
     advice = {}
-    _dp_fill(oracle, tree, 2, advice)
-    _update(oracle, tree, 2, advice, tree.root, LR)
-    got = _retrieve_seeds(tree, advice, tree.root, LR, 2)
+    sets = _Sets(tree, advice, 2, _dp_fill(oracle, tree, 2, advice, keep=True))
+    _update(oracle, 2, sets, (tree.root,), (LR,))
+    got = sets.lr_row(tree.root)[2]
     assert got <= frozenset(range(5))
     assert len(got) == 2
 
@@ -279,7 +301,7 @@ def test_init_table_retrieval_matches_dpim():
     model = CascadeModel("dicm", p=0.25, q=0.3)
     cfg = OracleConfig(90, 19)
     advice = _init_advice(g, tree, model, 3, cfg)
-    got = _retrieve_seeds(tree, advice, tree.root, LR, 3)
+    got = _sets(tree, advice, 3).lr_row(tree.root)[3]
     assert got == dpim(g, tree, model, 3, cfg).vertices
 
 
@@ -303,14 +325,12 @@ def test_advice_entries_are_valid_splits(name):
     g, tree, model, k, cfg = _sweep_instance(name)
     oracle = _make_oracle(g, model, cfg)
     advice = {}
-    _dp_fill(oracle, tree, k, advice)
+    sets = _Sets(tree, advice, k, _dp_fill(oracle, tree, k, advice, keep=True))
     for h in range(tree.tree_height - 1, 0, -1):
-        for node in tree.nodes_at_height(h):
-            _update(oracle, tree, k, advice, node, LU)
-            _update(oracle, tree, k, advice, node, RU)
+        _update(oracle, k, sets, tree.nodes_at_height(h), (LU, RU))
     for h in range(1, tree.tree_height + 1):
         for node in tree.nodes_at_height(h):
-            _update(oracle, tree, k, advice, node, LR)
+            _update(oracle, k, sets, (node,), (LR,))
     assert {pair for _, pair, _ in advice} == {LR, LU, RU}
     for (node, pair, ell), (s1, s2) in advice.items():
         assert 0 <= node < tree.node_count and not tree.is_leaf(node)
@@ -319,9 +339,242 @@ def test_advice_entries_are_valid_splits(name):
         assert s1 >= 0 and s2 >= 0 and s1 + s2 <= ell
         assert node != tree.root or pair == LR
         if pair == LR:
-            got = _retrieve_seeds(tree, advice, node, LR, ell)
+            row = sets.lr_row(node)  # budgets past the subtree size reach all of it
+            got = row[min(ell, len(row) - 1)]
             assert len(got) == min(ell, tree.size(node))
             assert got <= leaf_set(tree, node)
+
+
+# ---------------------------------------------------------------- reference schedule
+# The search as it ran one allocation step at a time, retrieving every set by
+# a fresh walk: the schedule that level batches and the retrieval memo must
+# reproduce query for query.
+
+
+def _retrieve_seeds(tree, advice, node, dpair, ell):
+    """Follow the advice from (node, dpair, ell) to the leaves it reaches."""
+    found = []
+    stack = [(node, dpair, ell)]
+    while stack:
+        node, dpair, ell = stack.pop()
+        if ell <= 0:
+            continue
+        if dpair == LR:
+            if tree.is_leaf(node):
+                found.append(tree.leaf_vertex(node))
+            else:
+                s1, s2 = advice.get((node, LR, ell), (0, 0))
+                stack += [(tree.left(node), LR, s1), (tree.right(node), LR, s2)]
+            continue
+        child = tree.left(node) if dpair[0] == "L" else tree.right(node)
+        if node == tree.root:
+            stack.append((child, LR, ell))
+        elif not tree.is_leaf(node):
+            s1, s2 = advice.get((node, dpair, ell), (0, 0))
+            stack.append((child, LR, s1))
+            parent, pair, _ = _follow(tree, node, "U")
+            stack.append((parent, pair, s2))
+    return frozenset(found)
+
+
+def _ref_allocate(oracle, advice, node, dpair, k, first, second, rest):
+    cap1, cap2, cap3 = len(first) - 1, len(second) - 1, len(rest) - 1
+    rows, queries = [], []
+    for i in range(k + 1):
+        ii, fixed = min(i, cap1 + cap2), rest[min(k - i, cap3)]
+        shares = range(max(0, ii - cap2), min(ii, cap1) + 1)
+        sets = [first[j] | second[ii - j] | fixed for j in shares]
+        rows.append((i, ii, shares, sets))
+        if len(sets) > 1:
+            queries += sets
+    answers = iter(oracle.sigma_many(queries))
+    chosen = []
+    for i, ii, shares, sets in rows:
+        pick = 0
+        if len(sets) > 1:
+            means = [next(answers).mean for _ in sets]
+            pick = means.index(max(means))
+        j = shares[pick]
+        advice[node, dpair, i] = (j, ii - j)
+        if i == ii:
+            chosen.append(sets[pick])
+    return chosen
+
+
+def _ref_dp_fill(oracle, tree, k, advice):
+    rows = {}
+    for h in range(tree.tree_height + 1):
+        for node in tree.nodes_at_height(h):
+            if tree.is_leaf(node):
+                rows[node] = [frozenset(), frozenset((tree.leaf_vertex(node),))][: k + 1]
+            else:
+                left, right = rows.pop(tree.left(node)), rows.pop(tree.right(node))
+                rows[node] = _ref_allocate(oracle, advice, node, LR, k, left, right, [frozenset()])
+    return rows[tree.root]
+
+
+def _ref_update(oracle, tree, k, advice, node, dpair):
+    (d3,) = {"L", "R", "U"} - set(dpair)
+    sets = []
+    for direction in (*dpair, d3):
+        neighbor, pair, leaves = _follow(tree, node, direction)
+        sets.append([frozenset()] + [
+            _retrieve_seeds(tree, advice, neighbor, pair, b) for b in range(1, min(leaves, k) + 1)
+        ])
+    _ref_allocate(oracle, advice, node, dpair, k, *sets)
+
+
+def _ref_mpa(oracle, tree, k, max_outer, advice, checkpoint=lambda: None):
+    """mpa's search one step at a time; checkpoint() runs after the dynamic
+    program, after each level of a down sweep and after each update of an
+    up sweep."""
+    _ref_dp_fill(oracle, tree, k, advice)
+    checkpoint()
+    seeds = _retrieve_seeds(tree, advice, tree.root, LR, k)
+    history = [oracle.sigma(seeds).mean]
+    for _ in range(max_outer):
+        for h in range(tree.tree_height - 1, 0, -1):
+            for node in tree.nodes_at_height(h):
+                _ref_update(oracle, tree, k, advice, node, LU)
+                _ref_update(oracle, tree, k, advice, node, RU)
+            checkpoint()
+        for h in range(1, tree.tree_height + 1):
+            for node in tree.nodes_at_height(h):
+                _ref_update(oracle, tree, k, advice, node, LR)
+                checkpoint()
+        candidate = _retrieve_seeds(tree, advice, tree.root, LR, k)
+        value = oracle.sigma(candidate).mean
+        if value <= history[-1]:
+            break
+        seeds = candidate
+        history.append(value)
+    return seeds, tuple(history)
+
+
+def _recording(graph, model, cfg):
+    """A fresh oracle that records every seed set it is asked about, in order."""
+    base = ExactOracle if cfg == "exact" else MonteCarloOracle
+
+    class Recording(base):
+        def sigma(self, seeds):
+            if not self.inside:
+                self.seen.append(frozenset(seeds))
+            return super().sigma(seeds)
+
+        def sigma_many(self, sets):
+            sets = list(sets)
+            self.seen += map(frozenset, sets)
+            self.inside = True
+            try:
+                return super().sigma_many(sets)
+            finally:
+                self.inside = False
+
+    oracle = Recording(graph, model) if cfg == "exact" else Recording(graph, model, cfg)
+    oracle.seen, oracle.inside = [], False
+    return oracle
+
+
+def _schedule_instance(name):
+    """(graph, tree, model, k, cfg, max_outer): the four sweep instances, and
+    the midsize graph under scm and icm:p=0.1 with guide and bisection trees."""
+    if name.startswith("mid-"):
+        _, kind, tree_name = name.split("-")
+        g, tree, _, k, cfg = _sweep_instance(tree_name)
+        model = CascadeModel("scm") if kind == "scm" else CascadeModel("icm", p=0.1)
+        return g, tree, model, k, cfg, 2
+    return (*_sweep_instance(name), 2)
+
+
+_SCHEDULES = ["guide", "bisection", "worstcase", "caterpillar",
+              "mid-scm-guide", "mid-scm-bisection", "mid-icm-guide", "mid-icm-bisection"]
+
+
+@pytest.mark.parametrize("name", _SCHEDULES)
+def test_search_matches_reference_schedule(name, monkeypatch):
+    # dpim and mpa send the oracle the reference schedule's seed sets in its
+    # order, and mpa ends with its advice, seeds and history.
+    g, tree, model, k, cfg, max_outer = _schedule_instance(name)
+    ref = _recording(g, model, cfg)
+    ref_dp = frozenset(_ref_dp_fill(ref, tree, k, {})[k])
+    dp_queries = list(ref.seen)
+    oracle = _recording(g, model, cfg)
+    res = dpim(g, tree, model, k, oracle)
+    assert res.vertices == ref_dp
+    extra = [ref_dp] if cfg == "exact" else []  # the exact final estimate asks the search's oracle
+    assert oracle.seen == dp_queries + extra
+
+    ref = _recording(g, model, cfg)
+    ref_advice: dict = {}
+    ref_seeds, ref_history = _ref_mpa(ref, tree, k, max_outer, ref_advice)
+    boards = []
+    real_dp_fill = optimize._dp_fill
+
+    def dp_fill(oracle, tree, k, advice, keep=False):
+        boards.append(advice)
+        return real_dp_fill(oracle, tree, k, advice, keep)
+
+    monkeypatch.setattr(optimize, "_dp_fill", dp_fill)
+    oracle = _recording(g, model, cfg)
+    res = mpa(g, tree, model, k, oracle, max_outer=max_outer)
+    assert (res.vertices, res.history) == (ref_seeds, ref_history)
+    extra = [ref_seeds] if cfg == "exact" else []
+    assert oracle.seen == ref.seen + extra
+    assert res.oracle_calls == len(ref.seen)
+    assert boards == [ref_advice]
+
+
+def _check_memo(sets):
+    """Every kept set equals the reference walk over the current advice;
+    returns the number of U-facing sets checked."""
+    tree, advice = sets.tree, sets.advice
+    kept = [((node, LR, ell), got) for node, row in sets.lr.items() for ell, got in enumerate(row)]
+    for (node, dpair, ell), got in kept + list(sets.up.items()):
+        assert got == _retrieve_seeds(tree, advice, node, dpair, ell), (node, dpair, ell)
+    return len(sets.up)
+
+
+@pytest.mark.parametrize("name", _SCHEDULES)
+def test_memo_matches_reference_walks(name, monkeypatch):
+    # After the dynamic program, after each down-sweep level and after each
+    # up-sweep update, the memo holds only sets the reference walk agrees
+    # with, and the advice is the reference schedule's at the same point.
+    g, tree, model, k, cfg, max_outer = _schedule_instance(name)
+    ref_advice: dict = {}
+    expected = []
+    _ref_mpa(_make_oracle(g, model, cfg), tree, k, max_outer, ref_advice,
+             lambda: expected.append(dict(ref_advice)))
+    seen, up_entries = [], []
+
+    class Checked(_Sets):
+        def __init__(self, *args):
+            super().__init__(*args)
+            up_entries.append(_check_memo(self))
+            seen.append(dict(self.advice))
+
+    real_update = optimize._update
+
+    def update(oracle, k, sets, nodes, dpairs):
+        real_update(oracle, k, sets, nodes, dpairs)
+        up_entries.append(_check_memo(sets))
+        seen.append(dict(sets.advice))
+
+    monkeypatch.setattr(optimize, "_Sets", Checked)
+    monkeypatch.setattr(optimize, "_update", update)
+    mpa(g, tree, model, k, _make_oracle(g, model, cfg), max_outer=max_outer)
+    assert seen == expected
+    assert sum(up_entries) > 0
+
+
+@pytest.mark.parametrize("name", ["guide", "worstcase"])
+def test_search_checks_each_leaf_id_once(name):
+    # Every set the tree searches query is a union of the leaves' checked
+    # keys, so the only vertex-id checks are the n leaves' own.
+    g, tree, model, k, cfg = _sweep_instance(name)
+    for run in (lambda: dpim(g, tree, model, k, cfg), lambda: mpa(g, tree, model, k, cfg, max_outer=1)):
+        with mock.patch("infmax.graph._integer", wraps=_integer) as check:
+            run()
+        assert check.call_count == g.n
 
 
 def test_mpa_history_strictly_increases():
